@@ -82,13 +82,19 @@ def make_f0(spec: OperatorSpec, c0: Scalar, c1: Scalar, order: int = 12) -> LogS
 
 
 def apply_A(spec: OperatorSpec, f: LogSeries) -> LogSeries:
-    """A f = L( C(z) f' + D(z)/z f [- z f''] ), composed from series primitives."""
+    """A f = L( C(z) f' + D(z)/z f [- z f''] ), composed from series primitives.
+
+    Only the nonzero C_i and D_i are multiplied in.  The integrand keeps the
+    base exponent and horizon of f', as with the dense polynomials, so the
+    result does not depend on which coefficients vanish.
+    """
     df = differentiate(f)
-    c_poly = list(enumerate(spec.c_coeffs))
-    d_poly = list(enumerate(spec.d_coeffs))
-    integrand = linear_combine(
-        1, mul_poly(df, c_poly),
-        1, shift_exponent(mul_poly(f, d_poly), -1))
+    integrand = LogSeries.zero(f.order, df.sigma)
+    if spec.c_terms:
+        integrand = linear_combine(1, integrand, 1, mul_poly(df, spec.c_terms))
+    if spec.d_terms:
+        integrand = linear_combine(
+            1, integrand, 1, shift_exponent(mul_poly(f, spec.d_terms), -1))
     if spec.has_z_d2_term:
         integrand = linear_combine(
             1, integrand,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .logseries import LogSeries
 from .scalars import Scalar, as_int, is_exact
@@ -134,6 +135,16 @@ class OperatorSpec:
     def mode(self) -> str:
         vals = (self.alpha, self.lam) + self.c_coeffs + self.d_coeffs
         return "exact" if all(is_exact(v) for v in vals) else "float"
+
+    @cached_property
+    def c_terms(self) -> tuple[tuple[int, Scalar], ...]:
+        """Nonzero (i, C_i) pairs, ascending in i: the sparse form of C."""
+        return tuple((i, c) for i, c in enumerate(self.c_coeffs) if c != 0)
+
+    @cached_property
+    def d_terms(self) -> tuple[tuple[int, Scalar], ...]:
+        """Nonzero (i, D_i) pairs, ascending in i: the sparse form of D."""
+        return tuple((i, d) for i, d in enumerate(self.d_coeffs) if d != 0)
 
 
 def transform(problem: OdeProblem, root_choice: int) -> OperatorSpec:

@@ -1,10 +1,25 @@
-"""Neumann-series solves, the logarithmic second solution, residual and
+"""Resolvent solves, the logarithmic second solution, residual and
 contraction diagnostics.
 
 The transformed equation is (1 + A) f = g with g = L(z^-lambda F) + f0
-(three_point: z^-lambda-1 F), so f = sum_j (-A)^j g.  A raises the minimal
-power by at least 1, hence J = N applications pin every coefficient up to
-order N exactly; there is no convergence failure at fixed order.
+(three_point: z^-lambda-1 F).  The paper sums the Neumann series
+f = sum_j (-A)^j g.  A raises the minimal power by at least 1, so on the
+truncated grid of coefficients f[m,k] (exponent sigma + m, log power k,
+m = 0..N) the operator 1 + A is unit lower-triangular in m: the image of
+z^{sigma+m} log^k z has no term below row m + 1.  Forward substitution
+therefore gives the same exact rationals as the Neumann sum, with no
+convergence question at fixed order.  Rows are visited in ascending m; when
+row m is reached its pending values are final, each nonzero f[m,k] is fixed,
+and A is applied once to that single monomial, its image (clipped to the
+horizon N) being subtracted from the rows above.  Every nonzero coefficient
+costs one application of A, so a solve is linear in N up to the cost of the
+growing rationals.
+
+Solution.iterations_used is the Neumann iteration count: the longest chain
+of A applications linking an entry of g to a nonzero coefficient of f, plus
+the one application that finds nothing more below the horizon, capped at N
+(0 when g vanishes).  It is the number of terms (-A)^j g the Neumann loop
+would have applied A to.
 """
 
 from __future__ import annotations
@@ -14,6 +29,7 @@ from fractions import Fraction
 
 from .logseries import (
     LogSeries,
+    _gap,
     differentiate,
     linear_combine,
     mul_poly,
@@ -42,33 +58,61 @@ class Solution:
     log_streams: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None = None
 
 
-def _neg(f: LogSeries) -> LogSeries:
-    return LogSeries(f.sigma, f.order, {mk: -c for mk, c in f.coeffs.items()})
-
-
 def neumann_apply_resolvent(spec: OperatorSpec, g: LogSeries, order: int) -> LogSeries:
-    """sum_{j} (-A)^j g, exact through `order` above g's base exponent."""
-    total, _ = _neumann(spec, g, order)
-    return total
+    """(1 + A)^{-1} g = sum_j (-A)^j g, exact through `order` above g's base
+    exponent."""
+    f, _ = _forward_substitute(spec, g, order)
+    return f
 
 
-def _neumann(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[LogSeries, int]:
-    # terminates early once a term starts beyond the horizon; tracks the
-    # number of applications of A for diagnostics
+def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[LogSeries, int]:
+    # One pending row per m, visited in ascending order: f[m,k] is final when
+    # row m is reached, and its image under A only touches rows above m.
+    # Each pending entry carries the longest chain of A applications that
+    # reaches it from g (the deepest chain is the Neumann iteration count),
+    # and the base exponent and index it first arrived with: applying A to
+    # the monomial in that form repeats the Neumann loop's float arithmetic,
+    # so a float chain of single monomials comes out bit for bit the same.
     n = min(order, g.order)
-    total = truncate(g, n)
-    term = total
-    horizon = g.sigma + n
-    used = 0
-    for _ in range(n):
-        if term.is_zero():
-            break
-        term = _neg(apply_A(spec, term))
-        used += 1
-        if term.is_zero() or min(term.sigma + m for m, _ in term.coeffs) > horizon:
-            break
-        total = linear_combine(1, total, 1, term)
-    return total, used
+    rows: list[dict[int, list]] = [{} for _ in range(n + 1)]   # k -> entry
+    for (m, k), c in g.coeffs.items():
+        if m <= n:
+            rows[m][k] = [c, 0, g.sigma, m]    # value, depth, base, index
+    coeffs = {}
+    deepest = -1
+    for m, row in enumerate(rows):
+        for k, (c, depth, base, index) in row.items():
+            if c == 0:
+                continue
+            coeffs[(m, k)] = c
+            deepest = max(deepest, depth)
+            image = apply_A(spec, LogSeries(base, n, {(index, k): c}))
+            offset = _gap(g.sigma, image.sigma)
+            for (mi, ki), ci in image.coeffs.items():
+                target = mi + offset
+                if target > n:
+                    continue
+                entry = rows[target].get(ki)
+                if entry is None:
+                    rows[target][ki] = [-ci, depth + 1, image.sigma, mi]
+                else:
+                    entry[0] -= ci
+                    entry[1] = max(entry[1], depth + 1)
+    used = 0 if deepest < 0 else min(n, deepest + 1)
+    return LogSeries(g.sigma, n, coeffs), used
+
+
+def _driving_term(problem: OdeProblem, spec: OperatorSpec, c0: Scalar, c1: Scalar,
+                  n: int) -> LogSeries:
+    """g = f0 + L(z^-lambda F) (three_point: z^-lambda-1 F)."""
+    g = None
+    if c0 != 0 or c1 != 0:
+        g = make_f0(spec, c0, c1, order=n)
+    if problem.rhs is not None and not problem.rhs.is_zero():
+        shift = -spec.lam - (1 if problem.kind == "three_point" else 0)
+        part = apply_L(spec, shift_exponent(problem.rhs, shift))
+        g = part if g is None else linear_combine(1, g, 1, part)
+    return LogSeries.zero(n) if g is None else g
 
 
 def solve(problem: OdeProblem, root_choice: int, c0: Scalar, c1: Scalar,
@@ -78,20 +122,17 @@ def solve(problem: OdeProblem, root_choice: int, c0: Scalar, c1: Scalar,
     c0 and c1 seed the complementary solution through f0; a problem rhs
     contributes the particular part L(z^-lambda F) (three_point:
     z^-lambda-1 F).  Superposition holds exactly in rational mode.
+
+    Exact mode gives the Neumann sum f = sum_j (-A)^j g bit for bit.  In
+    float mode the resolvent adds the contributions to a coefficient in
+    another order than a term-by-term Neumann sum does; the two agree to
+    1e-13 relative per coefficient.
     """
     n = problem.series_cutoff if order is None else order
     spec = transform(problem, root_choice)
-    g = None
-    if c0 != 0 or c1 != 0:
-        g = make_f0(spec, c0, c1, order=n)
-    if problem.rhs is not None and not problem.rhs.is_zero():
-        shift = -spec.lam - (1 if problem.kind == "three_point" else 0)
-        part = apply_L(spec, shift_exponent(problem.rhs, shift))
-        g = part if g is None else linear_combine(1, g, 1, part)
-    if g is None:
-        g = LogSeries.zero(n)
+    g = _driving_term(problem, spec, c0, c1, n)
     try:
-        f, used = _neumann(spec, g, n)
+        f, used = _forward_substitute(spec, g, n)
     except SingularTerm as exc:
         if c1 != 0:
             raise IndexMismatch(
@@ -117,19 +158,26 @@ def residual(problem: OdeProblem, sol: Solution) -> Scalar | None:
     psi = shift_exponent(f, sol.lam)
     d1 = differentiate(psi)
     d2 = differentiate(d1)
+    # p and q as polynomials in z (p_i at z^{i+1}, q_i at z^{i+2}), nonzero
+    # terms only; the psi'' term always sets the horizon of R
+    p_poly = [(i + 1, c) for i, c in sorted(problem.p_coeffs.items())
+              if c != 0 and i <= problem.series_cutoff]
+    q_poly = [(i + 2, c) for i, c in sorted(problem.q_coeffs.items())
+              if c != 0 and i < problem.series_cutoff]
     if problem.kind == "two_point":
         # R = psi'' + p psi' + q psi - F, p = sum_{i>=-1} p_i z^i
-        p_poly = [(i + 1, problem.p(i)) for i in range(-1, problem.series_cutoff + 1)]
-        q_poly = [(i + 2, problem.q(i)) for i in range(-2, problem.series_cutoff)]
-        r = linear_combine(1, d2, 1, shift_exponent(mul_poly(d1, p_poly), -1))
-        r = linear_combine(1, r, 1, shift_exponent(mul_poly(psi, q_poly), -2))
+        r = d2
+        if p_poly:
+            r = linear_combine(1, r, 1, shift_exponent(mul_poly(d1, p_poly), -1))
+        if q_poly:
+            r = linear_combine(1, r, 1, shift_exponent(mul_poly(psi, q_poly), -2))
     else:
         # R = z(1-z) psi'' + p psi' + q psi - F, p = z sum p_i z^i, q = z sum q_i z^i
-        p_poly = [(i + 1, problem.p(i)) for i in range(-1, problem.series_cutoff + 1)]
-        q_poly = [(i + 2, problem.q(i)) for i in range(-2, problem.series_cutoff)]
         r = mul_poly(d2, [(1, 1), (2, -1)])
-        r = linear_combine(1, r, 1, mul_poly(d1, p_poly))
-        r = linear_combine(1, r, 1, shift_exponent(mul_poly(psi, q_poly), -1))
+        if p_poly:
+            r = linear_combine(1, r, 1, mul_poly(d1, p_poly))
+        if q_poly:
+            r = linear_combine(1, r, 1, shift_exponent(mul_poly(psi, q_poly), -1))
     if problem.rhs is not None and not problem.rhs.is_zero():
         r = linear_combine(1, r, -1, truncate(problem.rhs, r.order))
     if r.mode == "exact":

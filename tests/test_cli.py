@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +170,26 @@ def test_solve_csv_is_byte_stable(bessel_json, capsys):
     assert "2,0,-3,16" in first
 
 
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_SEEDS = {"bessel": ["--c0", "1"], "gauss": ["--c0", "1"], "struve": []}
+
+
+@pytest.mark.parametrize("order", [12, 60])
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEEDS))
+def test_solve_output_matches_golden_bytes(name, mode, fmt, order, capsys):
+    # tests/golden holds the stdout of `regsing solve` on the demo problem
+    # files as the Neumann-loop solver printed it, iterations line included
+    problem = ROOT / "demos" / "problems" / f"{name}.json"
+    code = main(["solve", "--problem", str(problem), *GOLDEN_SEEDS[name],
+                 "--mode", mode, "--format", fmt, "--order", str(order)])
+    assert code == 0
+    golden = GOLDEN / f"{name}-{mode}-{fmt}-{order}.txt"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_solve_csv_float_mode_changes_column(bessel_json, capsys):
     code = main(["solve", "--problem", bessel_json, "--c0", "1",
                  "--mode", "float", "--format", "csv"])
@@ -276,6 +297,11 @@ COMPARE_CASES = [
     ["--family", "hyp2f1", "--a", "1/2", "--b", "1/3", "--c", "5/4"],
     ["--family", "hyp2f1_irregular", "--a", "1/2", "--b", "1/3", "--c", "5/4"],
     ["--family", "struve", "--nu", "1/3"],
+    # with c < 1 the larger indicial root is 1 - c, not 0
+    ["--family", "hyp1f1", "--a", "1", "--c", "1/2"],
+    ["--family", "hyp1f1_irregular", "--a", "1", "--c", "1/2"],
+    ["--family", "hyp2f1", "--a", "1/2", "--b", "1/3", "--c", "1/3"],
+    ["--family", "hyp2f1_irregular", "--a", "1/2", "--b", "1/3", "--c", "1/3"],
 ]
 
 

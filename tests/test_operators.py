@@ -11,6 +11,7 @@ from regsing.logseries import (
     NonIntegerExponentGap,
     differentiate,
     linear_combine,
+    mul_poly,
     shift_exponent,
     weighted_norm_estimate,
 )
@@ -200,6 +201,37 @@ def test_A_degree_growth(terms):
     if not out.is_zero():
         out_min = min(out.sigma + m for (m, _k) in out.coeffs)
         assert out_min >= in_min + 1
+
+
+def _dense_apply_A(spec, f):
+    # A composed with the full C/D polynomials, zeros included
+    df = differentiate(f)
+    integrand = linear_combine(
+        1, mul_poly(df, list(enumerate(spec.c_coeffs))),
+        1, shift_exponent(mul_poly(f, list(enumerate(spec.d_coeffs))), -1))
+    if spec.has_z_d2_term:
+        integrand = linear_combine(1, integrand, 1,
+                                   mul_poly(differentiate(df), [(1, -1)]))
+    return apply_L(spec, integrand)
+
+
+@given(st.lists(st.sampled_from((Fr(0), Fr(0), Fr(1, 2), Fr(-3))), min_size=4, max_size=4),
+       st.lists(st.sampled_from((Fr(0), Fr(0), Fr(2, 3), Fr(-1))), min_size=4, max_size=4),
+       st.booleans(),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=5),
+                          st.integers(min_value=0, max_value=1),
+                          rationals),
+                max_size=3))
+@settings(max_examples=80)
+def test_A_from_sparse_terms_matches_dense_polynomials(cs, ds, z_d2, terms):
+    spec = OperatorSpec(alpha=Fr(7, 3), lam=0, c_coeffs=tuple(cs),
+                        d_coeffs=tuple(ds), has_z_d2_term=z_d2)
+    assert spec.c_terms == tuple((i, c) for i, c in enumerate(cs) if c != 0)
+    assert spec.d_terms == tuple((i, d) for i, d in enumerate(ds) if d != 0)
+    f = LogSeries(Fr(1, 2), 5, {(m, k): c for m, k, c in terms})
+    out, dense = apply_A(spec, f), _dense_apply_A(spec, f)
+    assert out.coeffs == dense.coeffs
+    assert (out.sigma, out.order) == (dense.sigma, dense.order)
 
 
 def test_A_contraction_on_probe_basis():

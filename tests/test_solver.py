@@ -5,7 +5,10 @@ from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import regsing.solver
 from regsing.catalog import (
     bessel_j_series,
     bessel_log_second_series,
@@ -14,16 +17,20 @@ from regsing.catalog import (
     pochhammer,
     struve_series,
 )
+from regsing.cli import _to_float_problem
 from regsing.logseries import (
     LogSeries,
     differentiate,
     evaluate,
     linear_combine,
     shift_exponent,
+    truncate,
 )
+from regsing.operators import apply_A
 from regsing.problem import OdeProblem, map_gegenbauer, transform
 from regsing.solver import (
     IndexMismatch,
+    _driving_term,
     contraction_report,
     log_second_recurrence_streams,
     neumann_apply_resolvent,
@@ -56,6 +63,172 @@ def test_resolvent_bessel_leading_terms():
     assert out.coefficient(0) == 1
     assert out.coefficient(2) == -Fr(1, 4) / (1 + nu)
     assert out.coefficient(4) == Fr(1, 32) / ((1 + nu) * (2 + nu))
+
+
+# ------------------------------------------- resolvent vs the Neumann loop
+
+def _neumann(spec, g, order):
+    """Test oracle: the Neumann loop the solver used to run, summing
+    f = sum_j (-A)^j g term by term; returns (f, applications of A)."""
+    n = min(order, g.order)
+    total = truncate(g, n)
+    term = total
+    horizon = g.sigma + n
+    used = 0
+    for _ in range(n):
+        if term.is_zero():
+            break
+        term = apply_A(spec, term)
+        term = LogSeries(term.sigma, term.order, {mk: -c for mk, c in term.coeffs.items()})
+        used += 1
+        if term.is_zero() or min(term.sigma + m for m, _ in term.coeffs) > horizon:
+            break
+        total = linear_combine(1, total, 1, term)
+    return total, used
+
+
+def _oracle_solve(problem, root, c0, c1, order):
+    spec = transform(problem, root)
+    return _neumann(spec, _driving_term(problem, spec, c0, c1, order), order)
+
+
+def _trig(q0):
+    return lambda n: OdeProblem("two_point", {}, {0: q0}, series_cutoff=n)
+
+
+# every catalog family that is solved through an OdeProblem (Exp iterates a
+# bare integration and has none): (id, problem at order n, root, c0, c1)
+CATALOG_CASES = [
+    ("cos", _trig(Fr(4)), 2, 1, 0),
+    ("sin", _trig(Fr(9, 4)), 1, 1, 0),
+    ("cosh", _trig(Fr(-1)), 2, 1, 0),
+    ("sinh", _trig(Fr(-1, 4)), 1, 1, 0),
+    ("bessel", lambda n: bessel_problem(Fr(1, 3), n), 1, 1, 0),
+    ("bessel_irregular", lambda n: bessel_problem(Fr(1, 3), n), 1, 0, 1),
+    ("bessel_log0", lambda n: bessel_problem(Fr(0), n), 1, 0, 1),
+    ("bessel_log1", lambda n: bessel_problem(Fr(1), n), 1, 0, 1),
+    ("bessel_log2", lambda n: bessel_problem(Fr(2), n), 1, 0, 1),
+    ("hyp1f1", lambda n: confluent_problem(Fr(2, 3), Fr(7, 5), n), 1, 1, 0),
+    ("hyp1f1_irregular", lambda n: confluent_problem(Fr(2, 3), Fr(7, 5), n), 2, 1, 0),
+    ("hyp2f1", lambda n: gauss_problem(Fr(1, 2), Fr(1, 3), Fr(5, 4), n), 1, 1, 0),
+    ("hyp2f1_irregular", lambda n: gauss_problem(Fr(1, 2), Fr(1, 3), Fr(5, 4), n), 2, 1, 0),
+    ("struve", lambda n: struve_problem(Fr(1, 3), n), 1, 0, 0),
+]
+
+
+@pytest.mark.parametrize("order", [12, 200])
+@pytest.mark.parametrize("case", CATALOG_CASES, ids=lambda c: c[0])
+def test_resolvent_matches_neumann_loop_on_catalog(case, order):
+    _, build, root, c0, c1 = case
+    problem = build(order)
+    sol = solve(problem, root, c0, c1, order=order)
+    f, used = _oracle_solve(problem, root, c0, c1, order)
+    assert sol.f.coeffs == f.coeffs
+    assert (sol.f.sigma, sol.f.order) == (f.sigma, f.order)
+    assert sol.iterations_used == used
+
+
+@st.composite
+def random_problems(draw):
+    """The benchmark's random problem shape: rational indicial roots whose
+    gap is not an integer, one more p term (index 0 or 1) and one more q
+    term (index -1, 0 or 1)."""
+    d1, d2 = draw(st.sampled_from((2, 3, 4))), draw(st.sampled_from((2, 3, 4)))
+    l1 = Fr(draw(st.integers(-6, 6)), d1)
+    l2 = Fr(draw(st.integers(-6, 6)), d2)
+    assume((l1 - l2).denominator != 1)
+    p = {-1: 1 - (l1 + l2), draw(st.sampled_from((0, 1))):
+         Fr(draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, 2, 3))))}
+    q = {-2: l1 * l2, draw(st.sampled_from((-1, 0, 1))):
+         Fr(draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, 2, 3))))}
+    kind = draw(st.sampled_from(("two_point", "three_point")))
+    return OdeProblem(kind, p, q, series_cutoff=draw(st.integers(2, 40)))
+
+
+@given(random_problems(), st.sampled_from((1, 2)),
+       st.sampled_from(((1, 0), (0, 1))))
+@settings(max_examples=60, deadline=None)
+def test_resolvent_matches_neumann_loop_on_random_problems(problem, root, seed):
+    c0, c1 = seed
+    n = problem.series_cutoff
+    sol = solve(problem, root, c0, c1, order=n)
+    f, used = _oracle_solve(problem, root, c0, c1, n)
+    assert sol.f.coeffs == f.coeffs
+    assert sol.iterations_used == used
+
+
+@pytest.mark.parametrize("order", [30, 60])
+@pytest.mark.parametrize("case", CATALOG_CASES, ids=lambda c: c[0])
+def test_float_resolvent_agrees_with_neumann_loop(case, order):
+    # the tolerance stated in the solve docstring
+    _, build, root, c0, c1 = case
+    problem = _to_float_problem(build(order))
+    sol = solve(problem, root, float(c0), float(c1), order=order)
+    f, _ = _oracle_solve(problem, root, float(c0), float(c1), order)
+    assert sol.mode == "float"
+    for key in set(sol.f.coeffs) | set(f.coeffs):
+        if key not in f.coeffs:
+            # the loop compares drifted float exponents with the horizon and
+            # can drop row N; see the horizon-row test below
+            assert key[0] == order
+            continue
+        a, b = sol.f.coeffs.get(key, 0.0), f.coeffs[key]
+        assert abs(a - b) <= 1e-13 * max(abs(a), abs(b)), key
+
+
+def test_float_resolvent_keeps_the_horizon_row():
+    # Bessel(1/3) from the c1 seed: f's base exponent is the float -2/3.  The
+    # Neumann loop's exponent for row 30, accumulated over 15 applications,
+    # rounds above the horizon and the loop dropped that coefficient; rows
+    # are integers in the resolvent, so float and exact agree on the grid.
+    exact = solve(bessel_problem(Fr(1, 3), 30), 1, 0, 1, order=30)
+    sol = solve(_to_float_problem(bessel_problem(Fr(1, 3), 30)), 1, 0.0, 1.0, order=30)
+    assert set(sol.f.coeffs) == set(exact.f.coeffs)
+    for key, c in exact.f.coeffs.items():
+        assert sol.f.coeffs[key] == pytest.approx(float(c), rel=1e-13)
+    assert sol.iterations_used == exact.iterations_used == 16
+    f, used = _oracle_solve(_to_float_problem(bessel_problem(Fr(1, 3), 30)), 1, 0.0, 1.0, 30)
+    assert (30, 0) not in f.coeffs and used == 15
+
+
+def _multi_term_problem(n):
+    # roots 1/3 and -1/4, three more p terms and three more q terms
+    l1, l2 = Fr(1, 3), Fr(-1, 4)
+    return OdeProblem("two_point",
+                      {-1: 1 - (l1 + l2), 0: Fr(1, 2), 1: Fr(-1, 3), 2: Fr(1, 5)},
+                      {-2: l1 * l2, -1: 1, 0: Fr(-1, 2), 1: Fr(2, 7)},
+                      series_cutoff=n)
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda n: gauss_problem(Fr(1, 2), Fr(1, 3), Fr(5, 4), n), 400),
+    (_multi_term_problem, 40),
+], ids=["hyp2f1", "multi_term"])
+def test_resolvent_applies_A_once_per_coefficient(build, order, monkeypatch):
+    # structural linearity guard: A sees each nonzero coefficient of f once,
+    # as a single monomial, and the resolvent copies no accumulated series
+    fed = []
+    combined = []
+    real_apply_A, real_combine = regsing.solver.apply_A, regsing.solver.linear_combine
+
+    def counting_apply_A(spec, f):
+        fed.append(len(f.coeffs))
+        return real_apply_A(spec, f)
+
+    def counting_combine(*args):
+        combined.append(1)
+        return real_combine(*args)
+
+    monkeypatch.setattr(regsing.solver, "apply_A", counting_apply_A)
+    monkeypatch.setattr(regsing.solver, "linear_combine", counting_combine)
+    sol = solve(build(order), 1, 1, 0, order=order)
+    assert len(fed) <= len(sol.f.coeffs)
+    assert sum(fed) <= len(sol.f.coeffs)
+    # only the residual's few combinations, as many at order 12
+    at_order = len(combined)
+    combined.clear()
+    solve(build(12), 1, 1, 0, order=12)
+    assert at_order == len(combined)
 
 
 # ------------------------------------------------------------ regular solves
