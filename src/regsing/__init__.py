@@ -47,6 +47,7 @@ from .mellin import (
     DEFAULT_CONTOUR,
     PoleError,
     PowerData,
+    ResidueResult,
     catalog_family,
     complex_gamma,
     contour_eval,
@@ -100,6 +101,7 @@ __all__ = [
     "ParseError",
     "PoleError",
     "PowerData",
+    "ResidueResult",
     "SchemaError",
     "SingularTerm",
     "Solution",

@@ -40,7 +40,7 @@ from .mellin import (
     residue_eval,
 )
 from .operators import SingularTerm
-from .problem import ComplexRootsUnsupported, OdeProblem, indicial
+from .problem import ComplexRootsUnsupported, OdeProblem, root_index
 from .scalars import parse_rational
 from .solver import IndexMismatch, solve, solve_log_second
 
@@ -237,15 +237,6 @@ def _family_from_args(args) -> "CatalogFamily":
     return catalog_family(tag, **params)
 
 
-def _root_choice(problem: OdeProblem, lam) -> int:
-    """The root_choice (1 = larger, 2 = smaller) whose indicial root is lam.
-
-    The hypergeometric roots are 0 and 1 - c, and which is larger depends on
-    the sign of 1 - c.
-    """
-    return 1 if indicial(problem).lam1 == lam else 2
-
-
 def _family_solver_series(args, order: int):
     """(solver LogSeries, oracle LogSeries) in the f-space of the family."""
     name = args.family
@@ -300,18 +291,18 @@ def _family_solver_series(args, order: int):
         prob = OdeProblem("two_point", {-1: c, 0: -1}, {-1: -a},
                           series_cutoff=order)
         if name == "hyp1f1":
-            sol = solve(prob, _root_choice(prob, 0), 1, 0, order=order)
+            sol = solve(prob, root_index(prob, 0), 1, 0, order=order)
             return sol.f, hyp1f1_series(a, c, order)
-        sol = solve(prob, _root_choice(prob, 1 - c), 1, 0, order=order)
+        sol = solve(prob, root_index(prob, 1 - c), 1, 0, order=order)
         return sol.f, hyp1f1_series(a + 1 - c, 2 - c, order)
     if name in ("hyp2f1", "hyp2f1_irregular"):
         a, b, c = args.a, args.b, args.c
         prob = OdeProblem("three_point", {-1: c, 0: -(a + b + 1)},
                           {-1: -a * b}, series_cutoff=order)
         if name == "hyp2f1":
-            sol = solve(prob, _root_choice(prob, 0), 1, 0, order=order)
+            sol = solve(prob, root_index(prob, 0), 1, 0, order=order)
             return sol.f, hyp2f1_series(a, b, c, order)
-        sol = solve(prob, _root_choice(prob, 1 - c), 1, 0, order=order)
+        sol = solve(prob, root_index(prob, 1 - c), 1, 0, order=order)
         return sol.f, hyp2f1_series(a + 1 - c, b + 1 - c, 2 - c, order)
     if name == "struve":
         nu = args.nu

@@ -229,6 +229,68 @@ def integrate(f: LogSeries) -> LogSeries:
     return LogSeries(f.sigma + 1, f.order, out)
 
 
+# Monomial kernels.  The exact images of one monomial z^s log^k z under an
+# Euler-type differential operator and under integration are small rationals
+# built from s and k alone.  They are computed here in plain integers, with
+# s = sq/q for a fixed denominator q and a log vector held as numerators over
+# one common denominator, so no gcd is taken until the caller builds the
+# final Fractions.
+
+def integer_slots(slots) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+    """(den, slots) with every (o, a2, a1, a0) of the exact rational slots
+    scaled to integers over one common denominator den."""
+    den = math.lcm(*(Fraction(a).denominator for slot in slots for a in slot[1:]))
+    return den, tuple((o, *(int(Fraction(a) * den) for a in coeffs))
+                      for o, *coeffs in slots)
+
+
+def euler_image(sq: int, q: int, k: int, a2: int, a1: int, a0: int) -> list[int]:
+    """Numerators v over q^2 of (a2 z^2 d^2/dz^2 + a1 z d/dz + a0) z^s log^k z,
+    s = sq/q.
+
+    The image is z^s sum_{j=0..k} v[j]/q^2 log^j z with
+
+        v[k]   = q^2 (a2 s(s-1) + a1 s + a0)
+        v[k-1] = q^2 k (a2 (2s-1) + a1)
+        v[k-2] = q^2 a2 k(k-1)
+
+    and zeros below: the monomial rule of differentiate, applied twice.
+    """
+    v = [0] * (k + 1)
+    v[k] = (a2 * (sq - q) + a1 * q) * sq + a0 * q * q
+    if k:
+        v[k - 1] = k * q * (a2 * (2 * sq - q) + a1 * q)
+        if k > 1:
+            v[k - 2] = a2 * k * (k - 1) * q * q
+    return v
+
+
+def integrate_log_vector(v: list[int], pq: int, q: int) -> tuple[list[int], int]:
+    """(w, d): int z^p sum_j v[j] log^j z dz = z^{p+1} sum_j w[j]/d log^j z,
+    where p + 1 = pq/q; integration constant zero.
+
+    The monomial rules of integrate: at p = -1 (pq = 0) every log power
+    rises by one, log^j z -> log^{j+1} z/(j+1); otherwise log^j z gives
+    sum_t (-1)^t j!/(j-t)! q^{t+1}/pq^{t+1} log^{j-t} z, put over pq^n.
+    """
+    n = len(v)
+    if pq == 0:
+        d = math.factorial(n)
+        return [0] + [c * (d // (j + 1)) for j, c in enumerate(v)], d
+    powers = [1] * n
+    for e in range(1, n):
+        powers[e] = powers[e - 1] * pq
+    w = [0] * n
+    for j, c in enumerate(v):
+        if c == 0:
+            continue
+        term = c * q
+        for t in range(j + 1):
+            w[j - t] += term * powers[n - 1 - t]
+            term = -term * (j - t) * q
+    return w, powers[-1] * pq
+
+
 def _inv(x: Scalar, like: Scalar) -> Scalar:
     # reciprocal matching the coefficient's mode
     if isinstance(like, float) or isinstance(x, float):

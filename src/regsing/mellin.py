@@ -43,7 +43,7 @@ from .catalog import (
 )
 from .logseries import LogSeries, integrate
 from .operators import apply_A
-from .problem import OdeProblem, transform
+from .problem import OdeProblem, root_index, transform
 from .scalars import Scalar, as_int, is_exact
 
 EULER_GAMMA = 0.5772156649015329
@@ -289,13 +289,13 @@ def family_operator(family: CatalogFamily, order: int = 20):
         a, c = family.param("a"), family.param("c")
         prob = OdeProblem("two_point", {-1: c, 0: -1}, {-1: -a},
                           series_cutoff=order)
-        spec = transform(prob, 1 if tag == "Hyp1F1Regular" else 2)
+        spec = transform(prob, root_index(prob, 0 if tag == "Hyp1F1Regular" else 1 - c))
         seed = LogSeries.monomial(1, 0, order)
     elif tag in ("Hyp2F1Regular", "Hyp2F1Irregular"):
         a, b, c = family.param("a"), family.param("b"), family.param("c")
         prob = OdeProblem("three_point", {-1: c, 0: -(a + b + 1)},
                           {-1: -a * b}, series_cutoff=order)
-        spec = transform(prob, 1 if tag == "Hyp2F1Regular" else 2)
+        spec = transform(prob, root_index(prob, 0 if tag == "Hyp2F1Regular" else 1 - c))
         seed = LogSeries.monomial(1, 0, order)
     elif tag == "Struve":
         nu = family.param("nu")
@@ -493,18 +493,34 @@ def family_target_factor(family: CatalogFamily, z: float) -> float:
     return 1.0
 
 
-def residue_eval(family: CatalogFamily, z: float, terms: int = 60) -> float:
+@dataclass(frozen=True)
+class ResidueResult:
+    value: float
+    terms: int
+    last_term: float          # |last residue added|, on the value's scale
+
+
+def residue_eval(family: CatalogFamily, z: float, terms: int = 60,
+                 full_output: bool = False):
     """Partial sum of the first `terms` residues: the series-route value.
 
     Residue of the integrand at s = -k is (-1)^k A^k(seed), so this is the
-    truncated Neumann sum and converges for 0 < z < 1.
+    truncated Neumann sum and converges for 0 < z < 1.  The sum is not
+    checked for convergence: near z = 1 the terms decay slowly and the
+    partial sum can be far off.  full_output=True returns a ResidueResult
+    whose last_term shows how large the neglected tail still is.
     """
     total = 0.0 + 0.0j
+    term = 0.0 + 0.0j
     for k in range(terms):
         data = fractional_power_coeff(family, k)
         term = evaluate_power(data, z)
         total += term if k % 2 == 0 else -term
-    return (family_target_factor(family, z) * total).real
+    factor = family_target_factor(family, z)
+    value = (factor * total).real
+    if full_output:
+        return ResidueResult(value=value, terms=terms, last_term=abs(factor * term))
+    return value
 
 
 # ----------------------------------------------------------- the integrand

@@ -6,8 +6,9 @@ integro-differential operator A.
 
 L is a right inverse of f -> f'' + (alpha/z) f', so the transformed equation
 becomes (1 + A) f = L(z^-lambda F) + f0 (two_point; the three_point scaling
-is z^-lambda-1 F).  Everything is composed from the series primitives, so the
-log bookkeeping of the resonant cases is inherited rather than special-cased:
+is z^-lambda-1 F).  L and the float form of A are composed from the series
+primitives, so the log bookkeeping of the resonant cases is inherited rather
+than special-cased:
 
     L z^p            = z^{p+2} / ((p+2)(alpha+p+1))      generic
     L z^{-2}         = log(z) / (alpha-1)                (alpha != 1)
@@ -16,6 +17,28 @@ log bookkeeping of the resonant cases is inherited rather than special-cased:
     L z^m log z      = z^{m+2} (log(z)/((m+2)(alpha+m+1))
                        - (alpha+2m+3)/((m+2)^2 (alpha+m+1)^2))
 
+Closed-form image of one monomial.  Write the integrand as slots,
+slot i = z^{i-1} (a2_i z^2 f'' + a1_i z f' + a0_i f) with a1_i = C_i,
+a0_i = D_i and a2_0 = -1 for three_point (0 otherwise).  For
+f = z^s log^k z, slot i is z^{s-1+i} times the log vector
+
+    log^k     a2_i s(s-1) + C_i s + D_i
+    log^{k-1} k (a2_i (2s-1) + C_i)
+    log^{k-2} a2_i k(k-1)
+
+and L maps z^e log^j z through two integrations, at p + 1 = e + 1 + alpha
+and at p + 1 = e + 2 (by parts; a log power rises where p + 1 = 0).  With no
+logs and no resonance this is
+
+    A z^s = sum_i (C_i s + D_i + a2_i s(s-1)) z^{s+i+1} / ((s+i+alpha)(s+i+1)).
+
+Every factor is a small rational built from s, k, alpha, C_i and D_i.
+Exact mode evaluates these images in plain integers and multiplies each
+output coefficient by the (large) input coefficient once, so no
+intermediate series is built.  Float mode keeps the composition: its
+rounding is what the golden CLI outputs pin byte for byte, and it serves as
+the oracle the exact kernel is tested against.
+
 In exact-rational mode every monomial has a well-defined image.  SingularTerm
 fires only in float mode when an exponent sits too close to a resonance for
 the branch to be decided reliably.
@@ -23,10 +46,15 @@ the branch to be decided reliably.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .logseries import (
     LogSeries,
     differentiate,
+    euler_image,
     integrate,
+    integrate_log_vector,
     linear_combine,
     mul_poly,
     shift_exponent,
@@ -82,7 +110,47 @@ def make_f0(spec: OperatorSpec, c0: Scalar, c1: Scalar, order: int = 12) -> LogS
 
 
 def apply_A(spec: OperatorSpec, f: LogSeries) -> LogSeries:
-    """A f = L( C(z) f' + D(z)/z f [- z f''] ), composed from series primitives.
+    """A f = L( C(z) f' + D(z)/z f [- z f''] ).
+
+    Exact f and spec take the closed-form image of each monomial
+    (_apply_A_exact); float mode composes the series primitives
+    (_apply_A_composed).  Both return the same base f.sigma + 1 and
+    horizon f.order, and drop the same terms above it.
+    """
+    if spec.mode == "exact" and f.mode == "exact":
+        return _apply_A_exact(spec, f)
+    return _apply_A_composed(spec, f)
+
+
+def _apply_A_exact(spec: OperatorSpec, f: LogSeries) -> LogSeries:
+    # per monomial and slot: the integrand's log vector at z^{s-1+i}, pushed
+    # through L's two integrations in small integers (s = sq/q), then one
+    # Fraction per output term, multiplied by c once
+    den, slots = spec.slots
+    sigma, alpha = f.sigma, spec.alpha
+    q = math.lcm(sigma.denominator, alpha.denominator)
+    sq0 = sigma.numerator * (q // sigma.denominator)
+    aq = alpha.numerator * (q // alpha.denominator)
+    out: dict[tuple[int, int], Scalar] = {}
+    for (m, k), c in f.coeffs.items():
+        sq = sq0 + m * q
+        for i, a2, a1, a0 in slots:
+            if m + i > f.order:
+                break
+            v = euler_image(sq, q, k, a2, a1, a0)
+            v, d1 = integrate_log_vector(v, sq + i * q + aq, q)    # p + 1 = s + i + alpha
+            v, d2 = integrate_log_vector(v, sq + (i + 1) * q, q)   # p + 1 = s + i + 1
+            d = den * q * q * d1 * d2
+            for j, w in enumerate(v):
+                if w:
+                    key = (m + i, j)
+                    out[key] = out.get(key, 0) + c * Fraction(w, d)
+    return LogSeries(sigma + 1, f.order, out)
+
+
+def _apply_A_composed(spec: OperatorSpec, f: LogSeries) -> LogSeries:
+    """A f composed from series primitives: the float path, and the oracle
+    the exact kernel is tested against.
 
     Only the nonzero C_i and D_i are multiplied in.  The integrand keeps the
     base exponent and horizon of f', as with the dense polynomials, so the

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .logseries import LogSeries
+from .logseries import LogSeries, integer_slots
 from .scalars import Scalar, as_int, is_exact
 
 
@@ -123,6 +123,15 @@ def indicial(problem: OdeProblem) -> IndexData:
     )
 
 
+def root_index(problem: OdeProblem, lam: Scalar) -> int:
+    """The root_choice (1 = larger, 2 = smaller) whose indicial root is lam.
+
+    The hypergeometric roots are 0 and 1 - c, and which is larger depends on
+    the sign of 1 - c.
+    """
+    return 1 if indicial(problem).lam1 == lam else 2
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
     alpha: Scalar
@@ -131,8 +140,10 @@ class OperatorSpec:
     d_coeffs: tuple[Scalar, ...]    # D_i, i = 0..series_cutoff (sits at z^{i-1})
     has_z_d2_term: bool
 
-    @property
+    @cached_property
     def mode(self) -> str:
+        """'exact' when alpha, lambda and every C_i, D_i are exact; decided
+        once per spec."""
         vals = (self.alpha, self.lam) + self.c_coeffs + self.d_coeffs
         return "exact" if all(is_exact(v) for v in vals) else "float"
 
@@ -145,6 +156,19 @@ class OperatorSpec:
     def d_terms(self) -> tuple[tuple[int, Scalar], ...]:
         """Nonzero (i, D_i) pairs, ascending in i: the sparse form of D."""
         return tuple((i, d) for i, d in enumerate(self.d_coeffs) if d != 0)
+
+    @cached_property
+    def slots(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+        """The non-Euler part sum_i C_i z^i f' + D_i z^{i-1} f [- z f''] of
+        an exact spec as (den, slots): slot (i, a2, a1, a0) is
+        z^{i-1} (a2 z^2 f'' + a1 z f' + a0 f)/den, in integers; nonzero
+        slots only, ascending in i."""
+        slots = {i: [0, c, 0] for i, c in self.c_terms}
+        for i, d in self.d_terms:
+            slots.setdefault(i, [0, 0, 0])[2] = d
+        if self.has_z_d2_term:
+            slots.setdefault(0, [0, 0, 0])[0] = -1
+        return integer_slots([(i, *slots[i]) for i in sorted(slots)])
 
 
 def transform(problem: OdeProblem, root_choice: int) -> OperatorSpec:

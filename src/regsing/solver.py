@@ -20,6 +20,17 @@ of A applications linking an entry of g to a nonzero coefficient of f, plus
 the one application that finds nothing more below the horizon, capped at N
 (0 when g vanishes).  It is the number of terms (-A)^j g the Neumann loop
 would have applied A to.
+
+The residual check substitutes psi = z^lambda f back into the original
+equation.  Written as z^-2 (two_point) or z^-1 (three_point) times
+sum_o z^o (a2_o z^2 psi'' + a1_o z psi' + a0_o psi), the equation has
+psi'' at slot 0 (and -psi'' at slot 1 for three_point), p_i at slot i + 1
+and q_i at slot i + 2.  In exact mode each monomial c z^s log^k z of psi
+meets each slot in closed form (logseries.euler_image, small integers) and
+c is multiplied in once per output term, so R is accumulated term by term
+without building psi', psi'' or any product series.  It reads p and q
+directly, never transform or A, and so stays an independent check.  Float
+mode keeps the composition from the series primitives.
 """
 
 from __future__ import annotations
@@ -31,6 +42,8 @@ from .logseries import (
     LogSeries,
     _gap,
     differentiate,
+    euler_image,
+    integer_slots,
     linear_combine,
     mul_poly,
     shift_exponent,
@@ -39,7 +52,7 @@ from .logseries import (
 )
 from .operators import SingularTerm, apply_A, apply_L, make_f0
 from .problem import OdeProblem, OperatorSpec, indicial, transform
-from .scalars import Scalar, as_int
+from .scalars import Scalar, as_int, is_exact
 
 
 class IndexMismatch(ArithmeticError):
@@ -152,18 +165,80 @@ def residual(problem: OdeProblem, sol: Solution) -> Scalar | None:
     substituting the truncated psi back into the equation, or None if the
     substitution vanishes identically on the visible grid (terminating
     solutions).  Success contract: at least lambda + N - 1.
+
+    Exact solutions are substituted monomial by monomial, straight from p
+    and q (_substitute_exact); float ones through the series primitives
+    (_substitute_composed).  Neither goes through transform or A, so the
+    residual stays an independent check of the solve.
     """
+    exact = (problem.mode == "exact" and is_exact(sol.lam)
+             and sol.f.mode == "exact")
+    r = _substitute_exact(problem, sol) if exact else _substitute_composed(problem, sol)
+    if problem.rhs is not None and not problem.rhs.is_zero():
+        r = linear_combine(1, r, -1, truncate(problem.rhs, r.order))
+    if r.mode == "exact":
+        nonzero = [r.sigma + m for (m, _k), c in r.coeffs.items() if c != 0]
+    else:
+        scale = max((abs(float(c)) for c in sol.f.coeffs.values()), default=1.0)
+        tol = 1e-10 * max(1.0, scale)
+        nonzero = [r.sigma + m for (m, _k), c in r.coeffs.items() if abs(float(c)) > tol]
+    return min(nonzero) if nonzero else None
+
+
+def _pq_terms(problem: OdeProblem):
+    """Nonzero (i, p_i) with i <= N and (i, q_i) with i < N, ascending: the
+    terms of p and q that reach R."""
+    n = problem.series_cutoff
+    return ([(i, c) for i, c in sorted(problem.p_coeffs.items()) if c != 0 and i <= n],
+            [(i, c) for i, c in sorted(problem.q_coeffs.items()) if c != 0 and i < n])
+
+
+def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
+    """The left-hand side at psi, as _substitute_composed builds it: each
+    monomial c z^s log^k z of psi meets every slot of the equation in small
+    integers (euler_image), then one Fraction per output term, times c."""
+    three = problem.kind == "three_point"
+    # slot o: [a2, a1, a0], the slots of the module docstring
+    slots = {0: [1, 0, 0]}
+    if three:
+        slots[1] = [-1, 0, 0]
+    p_terms, q_terms = _pq_terms(problem)
+    for i, c in p_terms:
+        slots.setdefault(i + 1, [0, 0, 0])[1] += c
+    for i, c in q_terms:
+        slots.setdefault(i + 2, [0, 0, 0])[2] += c
+    den, ordered = integer_slots([(o, *slots[o]) for o in sorted(slots)])
+    f = sol.f
+    horizon = f.order + problem.series_cutoff + 3    # as the composed pad
+    base = f.sigma + sol.lam                         # psi's base, s = sq/q
+    q = base.denominator
+    d = den * q * q
+    out: dict[tuple[int, int], Scalar] = {}
+    for (m, k), c in f.coeffs.items():
+        sq = base.numerator + m * q
+        for o, a2, a1, a0 in ordered:
+            if m + o > horizon:
+                break
+            for j, w in enumerate(euler_image(sq, q, k, a2, a1, a0)):
+                if w:
+                    key = (m + o, j)
+                    out[key] = out.get(key, 0) + c * Fraction(w, d)
+    return LogSeries(base - (1 if three else 2), horizon, out)
+
+
+def _substitute_composed(problem: OdeProblem, sol: Solution) -> LogSeries:
+    """The left-hand side of the equation at the truncated psi, composed from
+    series primitives: the float path, and the oracle of _substitute_exact."""
     pad = problem.series_cutoff + 3
     f = truncate(sol.f, sol.f.order + pad)   # the truncation itself, exactly
     psi = shift_exponent(f, sol.lam)
     d1 = differentiate(psi)
     d2 = differentiate(d1)
-    # p and q as polynomials in z (p_i at z^{i+1}, q_i at z^{i+2}), nonzero
-    # terms only; the psi'' term always sets the horizon of R
-    p_poly = [(i + 1, c) for i, c in sorted(problem.p_coeffs.items())
-              if c != 0 and i <= problem.series_cutoff]
-    q_poly = [(i + 2, c) for i, c in sorted(problem.q_coeffs.items())
-              if c != 0 and i < problem.series_cutoff]
+    # p and q as polynomials in z (p_i at z^{i+1}, q_i at z^{i+2}); the
+    # psi'' term always sets the horizon of R
+    p_terms, q_terms = _pq_terms(problem)
+    p_poly = [(i + 1, c) for i, c in p_terms]
+    q_poly = [(i + 2, c) for i, c in q_terms]
     if problem.kind == "two_point":
         # R = psi'' + p psi' + q psi - F, p = sum_{i>=-1} p_i z^i
         r = d2
@@ -178,15 +253,7 @@ def residual(problem: OdeProblem, sol: Solution) -> Scalar | None:
             r = linear_combine(1, r, 1, mul_poly(d1, p_poly))
         if q_poly:
             r = linear_combine(1, r, 1, shift_exponent(mul_poly(psi, q_poly), -1))
-    if problem.rhs is not None and not problem.rhs.is_zero():
-        r = linear_combine(1, r, -1, truncate(problem.rhs, r.order))
-    if r.mode == "exact":
-        nonzero = [r.sigma + m for (m, _k), c in r.coeffs.items() if c != 0]
-    else:
-        scale = max((abs(float(c)) for c in sol.f.coeffs.values()), default=1.0)
-        tol = 1e-10 * max(1.0, scale)
-        nonzero = [r.sigma + m for (m, _k), c in r.coeffs.items() if abs(float(c)) > tol]
-    return min(nonzero) if nonzero else None
+    return r
 
 
 def _relative_residual_order(problem: OdeProblem, sol: Solution) -> int | None:

@@ -143,15 +143,31 @@ def test_family_validation():
 
 # -------------------------------------------------------- fractional powers
 
-@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: repr(f)[:40])
-def test_integer_power_equals_operator_iteration(family):
+def _assert_powers_equal_iteration(family, v_max):
     seed, apply_one = family_operator(family, order=24)
     current = seed
-    for v in range(7):
+    for v in range(v_max + 1):
         data = fractional_power_coeff(family, v)
         assert current.coefficient_at(data.exponent, 0) == data.coefficient
         assert current.coefficient_at(data.exponent, 1) == data.log_coefficient
         current = apply_one(current)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: repr(f)[:40])
+def test_integer_power_equals_operator_iteration(family):
+    _assert_powers_equal_iteration(family, 6)
+
+
+@pytest.mark.parametrize("c", [Fr(1, 3), Fr(1, 2)], ids=str)
+@pytest.mark.parametrize("tag", ["Hyp1F1Regular", "Hyp1F1Irregular",
+                                 "Hyp2F1Regular", "Hyp2F1Irregular"])
+def test_integer_power_equals_operator_iteration_below_c_one(tag, c):
+    # for c < 1 the root 1 - c is the larger one: the operator picks its
+    # root by value (0 regular, 1 - c irregular), not by position
+    params = {"a": Fr(1, 2), "c": c}
+    if tag.startswith("Hyp2F1"):
+        params["b"] = Fr(1, 3)
+    _assert_powers_equal_iteration(catalog_family(tag, **params), 4)
 
 
 def test_power_identity_at_v0():
@@ -294,6 +310,18 @@ def test_residue_partial_sums_hit_reference_values():
     ]
     for fam, z, ref in cases:
         assert abs(residue_eval(fam, z) - ref) < 1e-12
+
+
+def test_residue_eval_full_output_reports_the_last_term():
+    fam = catalog_family("Hyp2F1Regular", a=Fr(1, 2), b=Fr(1, 3), c=Fr(5, 4))
+    near = residue_eval(fam, 0.25, full_output=True)
+    assert near.value == residue_eval(fam, 0.25) and near.terms == 60
+    assert near.last_term < 1e-30
+    # at 0.97 the sum is off by 1.5e-3 relative; the 60th term, 9.7e-5, is
+    # far above double precision, and the neglected tail larger still
+    far = residue_eval(fam, 0.97, full_output=True)
+    assert far.last_term > 5e-5
+    assert abs(far.value - float(sp.hyp2f1(0.5, 1 / 3, 1.25, 0.97))) > far.last_term
 
 
 # ---------------------------------------------------------------- integrand

@@ -15,7 +15,7 @@ from regsing.logseries import (
     shift_exponent,
     weighted_norm_estimate,
 )
-from regsing.operators import SingularTerm, apply_A, apply_L, make_f0
+from regsing.operators import SingularTerm, _apply_A_composed, apply_A, apply_L, make_f0
 from regsing.problem import OdeProblem, OperatorSpec, transform
 
 from test_problem import bessel_problem, confluent_problem, gauss_problem
@@ -232,6 +232,65 @@ def test_A_from_sparse_terms_matches_dense_polynomials(cs, ds, z_d2, terms):
     out, dense = apply_A(spec, f), _dense_apply_A(spec, f)
     assert out.coeffs == dense.coeffs
     assert (out.sigma, out.order) == (dense.sigma, dense.order)
+
+
+# ------------------------------------------ exact kernel vs the composition
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def exact_specs(draw):
+    """Spec of a random exact problem of either kind at either root; the
+    indicial gap is drawn integer (log cases) as often as not."""
+    l1 = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))
+    l2 = l1 - draw(st.one_of(st.integers(0, 3), small))
+    p = {-1: 1 - (l1 + l2)}
+    q = {-2: l1 * l2}
+    for i in draw(st.sets(st.integers(0, 2), max_size=2)):
+        p[i] = draw(small)
+    for i in draw(st.sets(st.integers(-1, 1), max_size=2)):
+        q[i] = draw(small)
+    kind = draw(st.sampled_from(("two_point", "three_point")))
+    return transform(OdeProblem(kind, p, q, series_cutoff=6),
+                     draw(st.sampled_from((1, 2))))
+
+
+@st.composite
+def resonant_exponent(draw, spec):
+    """An exponent s that puts some slot i on a log branch of L
+    (s - 1 + i + alpha = -1 or s + i = -1), or a plain one."""
+    i = draw(st.integers(0, 3))
+    return draw(st.sampled_from((-spec.alpha - i, Fr(-1 - i), draw(small))))
+
+
+def _assert_kernel_matches_composition(spec, f):
+    out, oracle = apply_A(spec, f), _apply_A_composed(spec, f)
+    assert out.coeffs == oracle.coeffs
+    assert (out.sigma, out.order) == (oracle.sigma, oracle.order)
+    assert all(type(c) is Fr for c in out.coeffs.values())
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_A_kernel_matches_composition_on_monomials(data):
+    spec = data.draw(exact_specs())
+    s = data.draw(resonant_exponent(spec))
+    m = data.draw(st.integers(0, 6))
+    k = data.draw(st.integers(0, 3))
+    c = data.draw(st.fractions(max_denominator=10**6).filter(lambda x: x != 0))
+    _assert_kernel_matches_composition(spec, LogSeries(s - m, 6, {(m, k): c}))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_A_kernel_matches_composition_on_series(data):
+    spec = data.draw(exact_specs())
+    sigma = data.draw(resonant_exponent(spec))
+    terms = data.draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3), rationals),
+                               min_size=1, max_size=6))
+    _assert_kernel_matches_composition(
+        spec, LogSeries(sigma, 6, {(m, k): c for m, k, c in terms}))
 
 
 def test_A_contraction_on_probe_basis():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import regsing.operators
 import regsing.solver
 from regsing.catalog import (
     bessel_j_series,
@@ -231,6 +232,31 @@ def test_resolvent_applies_A_once_per_coefficient(build, order, monkeypatch):
     assert at_order == len(combined)
 
 
+def test_exact_solve_builds_no_series_per_coefficient(monkeypatch):
+    # structural guard: exact A and the exact residual work monomial by
+    # monomial, so the calls from operators and solver into the series
+    # primitives do not grow with the order; the composed paths would
+    calls = []
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (regsing.operators, regsing.solver):
+        for name in ("integrate", "mul_poly", "differentiate", "linear_combine"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+
+    def count(order):
+        calls.clear()
+        solve(gauss_problem(Fr(1, 2), Fr(1, 3), Fr(5, 4), order), 1, 1, 0, order=order)
+        return sorted(calls)
+
+    assert count(12) == count(400)
+
+
 # ------------------------------------------------------------ regular solves
 
 def test_bessel_regular_matches_catalog():
@@ -425,6 +451,65 @@ def test_residual_detects_corruption():
 def test_residual_on_log_solution():
     sol = solve_log_second(bessel_problem(Fr(1)), 1, order=10)
     assert sol.residual_leading_order is None or sol.residual_leading_order >= 9
+
+
+def _assert_residual_kernel_matches(problem, sol):
+    """The exact substitution equals the composed one, and residual reports
+    the same exponent through either; returns that exponent."""
+    kernel = regsing.solver._substitute_exact(problem, sol)
+    oracle = regsing.solver._substitute_composed(problem, sol)
+    assert kernel.coeffs == oracle.coeffs
+    assert (kernel.sigma, kernel.order) == (oracle.sigma, oracle.order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regsing.solver, "_substitute_exact",
+                   regsing.solver._substitute_composed)
+        composed = residual(problem, sol)
+    lead = residual(problem, sol)
+    assert lead == composed
+    return lead
+
+
+def _perturbed(sol, key, delta):
+    coeffs = dict(sol.f.coeffs)
+    coeffs[key] = coeffs.get(key, 0) + delta
+    f = LogSeries(sol.f.sigma, sol.f.order, coeffs)
+    return replace(sol, f=f, psi=shift_exponent(f, sol.lam))
+
+
+@given(random_problems(), st.sampled_from((1, 2)),
+       st.sampled_from(((1, 0), (0, 1))), st.data())
+@settings(max_examples=40, deadline=None)
+def test_residual_kernel_matches_composition_on_random_problems(problem, root, seed, data):
+    sol = solve(problem, root, *seed)
+    _assert_residual_kernel_matches(problem, sol)
+    key = data.draw(st.sampled_from(sorted(sol.f.coeffs)))
+    _assert_residual_kernel_matches(problem, _perturbed(sol, key, Fr(1, 7)))
+
+
+@pytest.mark.parametrize("order", [12, 60])
+@pytest.mark.parametrize("case", CATALOG_CASES + [
+    ("struve0", lambda n: struve_problem(Fr(0), n), 1, 0, 0),
+    ("struve_half", lambda n: struve_problem(Fr(1, 2), n, pref=Fr(2, 3)), 1, 0, 0),
+    ("struve_driven_c0", lambda n: struve_problem(Fr(1, 3), n), 1, 1, 0),
+], ids=lambda c: c[0])
+def test_residual_kernel_matches_composition_on_catalog(case, order):
+    _, build, root, c0, c1 = case
+    problem = build(order)
+    sol = solve(problem, root, c0, c1, order=order)
+    lead = _assert_residual_kernel_matches(problem, sol)
+    assert lead is None or lead >= sol.lam + sol.f.sigma + order - 1
+    bad = _perturbed(sol, (order // 2, 0), Fr(1, 7))
+    bad_lead = _assert_residual_kernel_matches(problem, bad)
+    assert bad_lead < sol.lam + sol.f.sigma + order - 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_residual_kernel_matches_composition_on_log_solutions(n):
+    problem = bessel_problem(Fr(n), 40)
+    sol = solve_log_second(problem, n, order=40)
+    assert sol.f.max_log_power >= 1
+    _assert_residual_kernel_matches(problem, sol)
+    _assert_residual_kernel_matches(problem, _perturbed(sol, (2 * n + 2, 1), Fr(1, 7)))
 
 
 # ----------------------------------------------------------------- stability
