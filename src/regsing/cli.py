@@ -36,7 +36,7 @@ from .mellin import (
     PoleError,
     catalog_family,
     contour_eval,
-    fractional_power_coeff,
+    integer_powers,
     residue_eval,
 )
 from .operators import SingularTerm
@@ -243,8 +243,7 @@ def _family_solver_series(args, order: int):
     fam = _family_from_args(args)
     if name == "exp":
         coeffs = {}
-        for k in range(order + 1):
-            data = fractional_power_coeff(fam, k)
+        for k, data in zip(range(order + 1), integer_powers(fam)):
             coeffs[(k, 0)] = data.coefficient * (1 if k % 2 == 0 else -1)
         got = LogSeries(0, order, coeffs)
         oracle = LogSeries(0, order,

@@ -8,11 +8,14 @@ residues at s = -k reproduce the series term by term.  This module provides:
 - complex_gamma / digamma: the special functions the integrands are built of,
   accurate to ~1e-13 on the strip |Re s| <= 10, |Im s| <= 50;
 - CatalogFamily: validated (tag, params) records for the supported families;
-- fractional_power_coeff: the closed-form coefficient/exponent data of
-  A^v(seed), exact rationals at integer v;
+- integer_powers: the exact A^n(seed), n = 0, 1, 2, ..., each family defined
+  once by its term ratio A^{n+1}/A^n;
+- fractional_power_coeff: the coefficient/exponent data of A^v(seed), from
+  integer_powers at integer v and the gamma closed forms otherwise;
 - mellin_integrand / contour_eval: the line integrand and its trapezoid
   quadrature with tail diagnostics;
-- residue_eval: partial sums of the analytic residues (the series route).
+- residue_eval: partial sums of the analytic residues (the series route),
+  one term-ratio step per residue.
 
 A word on honesty: on the vertical line Re s = a in (0,1) the integrand
 moduli of these families do not decay fast enough for naive line quadrature
@@ -31,20 +34,16 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
-from .catalog import (
-    ParameterError,
-    log_second_c1,
-    log_second_c2,
-    pochhammer,
-    struve_prefactor,
-)
+from .catalog import ParameterError, struve_prefactor
 from .logseries import LogSeries, integrate
 from .operators import apply_A
 from .problem import OdeProblem, root_index, transform
 from .scalars import Scalar, as_int, is_exact
+from .solver import log_second_recurrence
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -309,8 +308,8 @@ def family_operator(family: CatalogFamily, order: int = 20):
     return seed, lambda f: apply_A(spec, f)
 
 
-def _one(x) -> Scalar:
-    return Fraction(1) if is_exact(x) else 1.0
+def _one(*xs) -> Scalar:
+    return Fraction(1) if all(map(is_exact, xs)) else 1.0
 
 
 def _half(x) -> Scalar:
@@ -345,18 +344,21 @@ def _sign_pow(v):
 
 
 def fractional_power_coeff(family: CatalogFamily, v) -> PowerData:
-    """Closed-form coefficient/exponent data of A^v applied to the family seed.
+    """Coefficient/exponent data of A^v applied to the family seed.
 
-    Integer v >= 0 with exact params returns exact rationals equal to v-fold
-    family_operator application.  Non-integer v analytically continues the
-    same expression through gamma and digamma (heuristic for the logarithmic
-    family, where it is validated numerically rather than proven).
+    Integer v >= 0 is the v-th element of integer_powers (v term-ratio
+    steps): exact rationals equal to v-fold family_operator application for
+    exact params, and within 1e-13 relative of the Pochhammer closed forms
+    for float params and v <= 200, wherever those stay normal floats.
+    Non-integer v analytically continues the closed form through gamma and
+    digamma (heuristic for the logarithmic family, where it is validated
+    numerically rather than proven).
     """
     tag = family.tag
     n_int = _as_nonneg_int(v)
 
     if n_int is not None:
-        return _power_exact(family, n_int)
+        return next(islice(integer_powers(family), n_int, None))
 
     v = complex(v)
     if tag == "Exp":
@@ -411,58 +413,71 @@ def fractional_power_coeff(family: CatalogFamily, v) -> PowerData:
     raise ParameterError(tag)  # pragma: no cover
 
 
-def _power_exact(family: CatalogFamily, n: int) -> PowerData:
+def integer_powers(family: CatalogFamily):
+    """A^n applied to the family seed, as PowerData for n = 0, 1, 2, ...
+
+    Each family's integer powers are defined here once, by their term
+    ratio: every coefficient is the previous one times one ratio, so the
+    first T powers cost T steps.  With exact parameters the values are exact
+    rationals, equal to n-fold family_operator application.  With float
+    parameters each step rounds; the values agree with the Pochhammer closed
+    forms to 1e-13 relative for n <= 200, wherever those stay normal floats.
+    """
+    if family.tag == "BesselLogSecond":
+        yield from _log_second_powers(family.param("n"))
+        return
+    coeff, k, tops, bottoms, base, step = _term_ratio(family)
+    n = 0
+    while True:
+        yield PowerData(coeff, base + step * n)
+        coeff = coeff * (k * math.prod(n + t for t in tops)
+                         / math.prod(n + b for b in bottoms))
+        n += 1
+
+
+def _term_ratio(family: CatalogFamily):
+    """Every family but the logarithmic one as a hypergeometric term:
+    (A^0 coefficient, K, tops, bottoms, base, step), where A^n sits at
+    z^(base + step n) and A^{n+1}/A^n = K prod(n + t) / prod(n + b)."""
     tag = family.tag
-    sign = 1 if n % 2 == 0 else -1
     if tag == "Exp":
-        return PowerData(Fraction(sign, math.factorial(n)), n)
+        return Fraction(1), Fraction(-1), (), (1,), 0, 1
     if tag == "TrigHyp":
         omega = family.param("omega")
         variant = family.param("variant")
+        k = _one(omega) * omega * omega / 4
         shift = 0 if variant in ("cos", "cosh") else 1
-        coeff = omega ** (2 * n) * _one(omega) / math.factorial(2 * n + shift)
-        if variant in ("cosh", "sinh"):
-            coeff *= sign
-        return PowerData(coeff, 2 * n)
+        return (_one(omega), -k if variant in ("cosh", "sinh") else k, (),
+                (Fraction(shift + 1, 2), Fraction(shift + 2, 2)), 0, 2)
     if tag == "BesselRegular":
         nu = family.param("nu")
-        one = _one(nu)
-        coeff = one / (4 ** n * math.factorial(n) * pochhammer(1 + nu, n))
-        return PowerData(coeff, 2 * n)
+        return _one(nu), Fraction(1, 4), (), (1, 1 + nu), 0, 2
     if tag == "BesselIrregular":
         nu = family.param("nu")
-        coeff = (-_half(nu) / nu
-                 / (4 ** n * math.factorial(n) * pochhammer(1 - nu, n)))
-        return PowerData(coeff, 2 * n - 2 * nu)
-    if tag == "BesselLogSecond":
-        nn = family.param("n")
-        nsign = 1 if nn % 2 == 0 else -1
-        if n < nn:
-            head = -sign * Fraction(
-                math.factorial(nn - 1 - n),
-                2 * 4**n * math.factorial(nn) * math.factorial(n))
-            return PowerData(head, 2 * (n - nn))
-        m = n - nn
-        scale = nsign * Fraction(1, 4 ** m)   # the 4^{nn-n} part of (z/2)^{2(n-nn)}
-        return PowerData(scale * log_second_c2(nn, m), 2 * (n - nn),
-                         scale * log_second_c1(nn, m))
-    if tag in ("Hyp1F1Regular", "Hyp1F1Irregular"):
-        a, c = _hyp_params(family)
-        coeff = (sign * _one(a) * pochhammer(a, n)
-                 / (math.factorial(n) * pochhammer(c, n)))
-        return PowerData(coeff, n)
-    if tag in ("Hyp2F1Regular", "Hyp2F1Irregular"):
-        a, b, c = _hyp_params(family)
-        coeff = (sign * _one(a) * pochhammer(a, n) * pochhammer(b, n)
-                 / (math.factorial(n) * pochhammer(c, n)))
-        return PowerData(coeff, n)
+        return -_half(nu) / nu, Fraction(1, 4), (), (1, 1 - nu), -2 * nu, 2
+    if tag in ("Hyp1F1Regular", "Hyp1F1Irregular",
+               "Hyp2F1Regular", "Hyp2F1Irregular"):
+        *tops, c = _hyp_params(family)
+        return _one(*tops, c), Fraction(-1), tops, (1, c), 0, 1
     if tag == "Struve":
         nu = family.param("nu")
-        coeff = (_one(nu) / (2 * nu + 1) / 4 ** n
-                 / (pochhammer(Fraction(3, 2), n)
-                    * pochhammer(Fraction(3, 2) + nu, n)))
-        return PowerData(coeff, 2 * n + 1)
+        half3 = Fraction(3, 2)
+        return (_one(nu) / (2 * nu + 1), Fraction(1, 4), (),
+                (half3, half3 + nu), 1, 2)
     raise ParameterError(tag)  # pragma: no cover
+
+
+def _log_second_powers(nn: int):
+    """Integer powers of BesselLogSecond(nn): below the gap, pure powers
+    from -1/(2 nn) with ratio -1/(4 n (nn - n)) into step n; from n = nn + m
+    on, the log-case recurrence's c1(m) and c2(m), scaled by (-1)^nn 4^-m."""
+    for n in range(nn):
+        head = Fraction(-1, 2 * nn) if n == 0 else head * Fraction(-1, 4 * n * (nn - n))
+        yield PowerData(head, 2 * (n - nn))
+    scale = Fraction(1 if nn % 2 == 0 else -1)
+    for m, (c1, c2) in enumerate(log_second_recurrence(nn)):
+        yield PowerData(scale * c2, 2 * m, scale * c1)
+        scale /= 4
 
 
 def evaluate_power(data: PowerData, z: float) -> complex:
@@ -505,15 +520,17 @@ def residue_eval(family: CatalogFamily, z: float, terms: int = 60,
     """Partial sum of the first `terms` residues: the series-route value.
 
     Residue of the integrand at s = -k is (-1)^k A^k(seed), so this is the
-    truncated Neumann sum and converges for 0 < z < 1.  The sum is not
-    checked for convergence: near z = 1 the terms decay slowly and the
-    partial sum can be far off.  full_output=True returns a ResidueResult
-    whose last_term shows how large the neglected tail still is.
+    truncated Neumann sum and converges for 0 < z < 1.  The residues come
+    from one walk of integer_powers, `terms` exact term-ratio steps, and are
+    bit-identical to the closed forms.  The sum is not checked for
+    convergence: it always adds `terms` residues, and near z = 1 the terms
+    decay slowly and the partial sum can be far off.  full_output=True
+    returns a ResidueResult whose last_term shows how large the neglected
+    tail still is.
     """
     total = 0.0 + 0.0j
     term = 0.0 + 0.0j
-    for k in range(terms):
-        data = fractional_power_coeff(family, k)
+    for k, data in enumerate(islice(integer_powers(family), max(terms, 0))):
         term = evaluate_power(data, z)
         total += term if k % 2 == 0 else -term
     factor = family_target_factor(family, z)

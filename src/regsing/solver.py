@@ -35,8 +35,11 @@ mode keeps the composition from the series primitives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 
 from .logseries import (
     LogSeries,
@@ -68,7 +71,16 @@ class Solution:
     iterations_used: int
     residual_leading_order: int | None   # exponent above psi's base, None if clean
     mode: str
-    log_streams: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None = None
+    # (n, m_max) of a log second solution: the arguments of its log_streams
+    _log_stream_args: tuple[int, int] | None = field(default=None, repr=False)
+
+    @cached_property
+    def log_streams(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None:
+        """The recurrence-iterated (c1, c2) streams of a log second solution,
+        computed on first read (None for other solutions)."""
+        if self._log_stream_args is None:
+            return None
+        return log_second_recurrence_streams(*self._log_stream_args)
 
 
 def neumann_apply_resolvent(spec: OperatorSpec, g: LogSeries, order: int) -> LogSeries:
@@ -264,33 +276,36 @@ def _relative_residual_order(problem: OdeProblem, sol: Solution) -> int | None:
     return rel
 
 
-def log_second_recurrence_streams(n: int, m_max: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Iterate the log-case recurrences from the base step
-    c1(0) = 1/(4^n n!^2), c2(0) = 0:
+def log_second_recurrence(n: int):
+    """The endless pairs (c1(m), c2(m)), m = 0, 1, 2, ..., of the log-case
+    recurrences, iterated from the base step c1(0) = 1/(4^n n!^2), c2(0) = 0:
 
         c1(m+1) = c1(m)/((1+m)(1+m+n))
         c2(m+1) = c2(m)/((1+m)(1+m+n)) - c1(m)(2+2m+n)/(2(1+m)^2(1+m+n)^2)
     """
-    fact = 1
-    for j in range(1, n + 1):
-        fact *= j
-    c1 = Fraction(1, 4**n * fact * fact)
+    c1 = Fraction(1, 4**n * math.factorial(n) ** 2)
     c2 = Fraction(0)
-    c1s, c2s = [c1], [c2]
-    for m in range(m_max):
-        den = Fraction((1 + m) * (1 + m + n))
-        c2 = c2 / den - c1 * (2 + 2 * m + n) / (2 * den**2)
+    m = 0
+    while True:
+        yield c1, c2
+        den = (1 + m) * (1 + m + n)
+        c2 = (c2 - c1 * Fraction(2 + 2 * m + n, 2 * den)) / den
         c1 = c1 / den
-        c1s.append(c1)
-        c2s.append(c2)
-    return tuple(c1s), tuple(c2s)
+        m += 1
+
+
+def log_second_recurrence_streams(n: int, m_max: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The streams (c1(0..m_max), c2(0..m_max)) of log_second_recurrence."""
+    c1s, c2s = zip(*islice(log_second_recurrence(n), max(m_max, 0) + 1))
+    return c1s, c2s
 
 
 def solve_log_second(problem: OdeProblem, n: int, order: int | None = None) -> Solution:
     """Second solution in the integer-gap (resonant) case, via the generic
     pipeline: the c1 seed is z^{-2n}/(-2n) (log z when n = 0) and the log
     branch of L fires at the resonant step.  The recurrence-iterated
-    coefficient streams ride along for cross-checking.
+    coefficient streams ride along for cross-checking as Solution.log_streams,
+    computed on first read.
     """
     idx = indicial(problem)
     gap = as_int(idx.delta_lambda)
@@ -300,11 +315,11 @@ def solve_log_second(problem: OdeProblem, n: int, order: int | None = None) -> S
         raise ValueError(f"expected gap 2n = {2 * n}, problem has {gap}")
     N = problem.series_cutoff if order is None else order
     sol = solve(problem, 1, 0, 1, order=N)
-    streams = log_second_recurrence_streams(n, max(0, (N - 2 * n) // 2))
     return Solution(lam=sol.lam, f=sol.f, psi=sol.psi,
                     iterations_used=sol.iterations_used,
                     residual_leading_order=sol.residual_leading_order,
-                    mode=sol.mode, log_streams=streams)
+                    mode=sol.mode,
+                    _log_stream_args=(n, max(0, (N - 2 * n) // 2)))
 
 
 def contraction_report(spec: OperatorSpec, z0: float) -> float:

@@ -2,26 +2,43 @@
 equivalence, and honest contour quadrature diagnostics."""
 
 import cmath
+import functools
 import math
+import sys
+from collections import Counter
 from fractions import Fraction as Fr
+from itertools import islice
 
 import pytest
 import scipy.special as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import regsing.catalog
+import regsing.cli
+import regsing.mellin
 from regsing.catalog import (
     ParameterError,
     bessel_j_series,
     bessel_log_second_series,
     hyp1f1_series,
     hyp2f1_series,
+    log_second_c1,
+    log_second_c2,
     pochhammer,
     struve_series,
 )
+from regsing.cli import main
 from regsing.mellin import (
     AccuracyError,
     ContourSpec,
     EULER_GAMMA,
     PoleError,
+    PowerData,
+    ResidueResult,
+    _half,
+    _hyp_params,
+    _one,
     catalog_family,
     complex_gamma,
     contour_eval,
@@ -30,6 +47,7 @@ from regsing.mellin import (
     family_operator,
     family_target_factor,
     fractional_power_coeff,
+    integer_powers,
     mellin_integrand,
     residue_eval,
 )
@@ -457,3 +475,230 @@ def test_struve_unscaled_routes_agree():
     from regsing.logseries import evaluate
     series = struve_series(nu, 24, scaled=False)
     assert abs(residue_eval(fam, z) - evaluate(series, z)) < 1e-12
+
+
+# ------------------------------------ term-ratio powers vs the closed forms
+
+def _pochhammer_power(family, n):
+    """Test oracle: A^n(seed) from the Pochhammer, factorial and harmonic
+    closed forms, built afresh for each n (the route integer_powers
+    replaced)."""
+    tag = family.tag
+    sign = 1 if n % 2 == 0 else -1
+    if tag == "Exp":
+        return PowerData(Fr(sign, math.factorial(n)), n)
+    if tag == "TrigHyp":
+        omega = family.param("omega")
+        variant = family.param("variant")
+        shift = 0 if variant in ("cos", "cosh") else 1
+        coeff = omega ** (2 * n) * _one(omega) / math.factorial(2 * n + shift)
+        if variant in ("cosh", "sinh"):
+            coeff *= sign
+        return PowerData(coeff, 2 * n)
+    if tag == "BesselRegular":
+        nu = family.param("nu")
+        coeff = _one(nu) / (4 ** n * math.factorial(n) * pochhammer(1 + nu, n))
+        return PowerData(coeff, 2 * n)
+    if tag == "BesselIrregular":
+        nu = family.param("nu")
+        coeff = (-_half(nu) / nu
+                 / (4 ** n * math.factorial(n) * pochhammer(1 - nu, n)))
+        return PowerData(coeff, 2 * n - 2 * nu)
+    if tag == "BesselLogSecond":
+        nn = family.param("n")
+        nsign = 1 if nn % 2 == 0 else -1
+        if n < nn:
+            head = -sign * Fr(math.factorial(nn - 1 - n),
+                              2 * 4**n * math.factorial(nn) * math.factorial(n))
+            return PowerData(head, 2 * (n - nn))
+        m = n - nn
+        scale = nsign * Fr(1, 4 ** m)
+        return PowerData(scale * log_second_c2(nn, m), 2 * (n - nn),
+                         scale * log_second_c1(nn, m))
+    if tag in ("Hyp1F1Regular", "Hyp1F1Irregular"):
+        a, c = _hyp_params(family)
+        coeff = (sign * _one(a) * pochhammer(a, n)
+                 / (math.factorial(n) * pochhammer(c, n)))
+        return PowerData(coeff, n)
+    if tag in ("Hyp2F1Regular", "Hyp2F1Irregular"):
+        a, b, c = _hyp_params(family)
+        coeff = (sign * _one(a) * pochhammer(a, n) * pochhammer(b, n)
+                 / (math.factorial(n) * pochhammer(c, n)))
+        return PowerData(coeff, n)
+    if tag == "Struve":
+        nu = family.param("nu")
+        coeff = (_one(nu) / (2 * nu + 1) / 4 ** n
+                 / (pochhammer(Fr(3, 2), n) * pochhammer(Fr(3, 2) + nu, n)))
+        return PowerData(coeff, 2 * n + 1)
+    raise AssertionError(tag)
+
+
+# for exact families only: a float parameter and the Fraction of equal value
+# hash alike, so the cache would hand one family's values to the other
+_exact_power = functools.lru_cache(maxsize=None)(_pochhammer_power)
+
+
+def _per_term_residue_eval(family, z, terms):
+    """Test oracle: the residue sum with each term from _pochhammer_power,
+    in the summation order of residue_eval."""
+    total = 0.0 + 0.0j
+    term = 0.0 + 0.0j
+    for k in range(terms):
+        term = evaluate_power(_exact_power(family, k), z)
+        total += term if k % 2 == 0 else -term
+    factor = family_target_factor(family, z)
+    return ResidueResult(value=(factor * total).real, terms=terms,
+                         last_term=abs(factor * term))
+
+
+def _below_c_one():
+    out = []
+    for tag in ("Hyp1F1Regular", "Hyp1F1Irregular", "Hyp2F1Regular", "Hyp2F1Irregular"):
+        for c in (Fr(1, 3), Fr(1, 2)):
+            params = {"a": Fr(1, 2), "c": c}
+            if tag.startswith("Hyp2F1"):
+                params["b"] = Fr(1, 3)
+            out.append(catalog_family(tag, **params))
+    return out
+
+
+ORACLE_FAMILIES = ALL_FAMILIES + _below_c_one() + [
+    catalog_family("BesselLogSecond", n=2),
+    catalog_family("TrigHyp", variant="cosh", omega=3),   # int parameters
+    catalog_family("BesselIrregular", nu=-1),
+    catalog_family("Hyp2F1Regular", a=1, b=2, c=3),
+]
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=lambda f: repr(f)[:48])
+def test_integer_powers_equal_the_closed_forms(family):
+    expect = [_exact_power(family, n) for n in range(81)]
+    assert list(islice(integer_powers(family), 81)) == expect
+    for n in range(81):
+        got = fractional_power_coeff(family, n)
+        assert got == expect[n]
+        assert type(got.coefficient) is type(expect[n].coefficient)
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=lambda f: repr(f)[:48])
+def test_residue_eval_equals_the_per_term_sum(family):
+    for z in (0.02, 0.25, 0.5, 0.97):
+        for terms in (0, 1, 2, 60, 150):
+            expect = _per_term_residue_eval(family, z, terms)
+            assert residue_eval(family, z, terms) == expect.value
+            assert residue_eval(family, z, terms, full_output=True) == expect
+
+
+def _exact_parameter(draw, low, high):
+    den = draw(st.integers(min_value=1, max_value=12))
+    return Fr(draw(st.integers(min_value=low * den, max_value=high * den)), den)
+
+
+@st.composite
+def hypergeometric_families(draw):
+    tag = draw(st.sampled_from(["Hyp1F1Regular", "Hyp1F1Irregular",
+                                "Hyp2F1Regular", "Hyp2F1Irregular"]))
+    # c on either side of 1: the root 1 - c is the larger one below 1
+    c = _exact_parameter(draw, 0, 1) if draw(st.booleans()) else _exact_parameter(draw, 1, 4)
+    params = {"a": _exact_parameter(draw, -3, 3), "c": c}
+    if tag.startswith("Hyp2F1"):
+        params["b"] = _exact_parameter(draw, -3, 3)
+    try:
+        return catalog_family(tag, **params)
+    except ParameterError:
+        assume(False)
+
+
+@given(hypergeometric_families(), st.integers(min_value=0, max_value=120),
+       st.floats(min_value=0.02, max_value=0.97))
+@settings(max_examples=40, deadline=None)
+def test_random_hypergeometric_powers_and_residues_equal_the_closed_forms(family, terms, z):
+    expect = [_exact_power(family, n) for n in range(terms)]
+    assert list(islice(integer_powers(family), terms)) == expect
+    assert residue_eval(family, z, terms, full_output=True) == \
+        _per_term_residue_eval(family, z, terms)
+
+
+@pytest.mark.parametrize("family", [
+    catalog_family("BesselRegular", nu=0.3),
+    catalog_family("Hyp2F1Regular", a=0.5, b=1 / 3, c=1.25),
+    catalog_family("Hyp2F1Irregular", a=0.7, b=-1.3, c=0.4),
+    # exact and float parameters mixed: float coefficients from n = 0 on
+    catalog_family("Hyp2F1Regular", a=1, b=0.5, c=3),
+    catalog_family("Hyp1F1Regular", a=Fr(1, 2), c=1.5),
+], ids=lambda f: repr(f)[:48])
+def test_float_parameter_powers_within_stated_tolerance(family):
+    # float parameters round once per ratio step instead of once per
+    # closed-form product: the docstring states 1e-13 relative for n <= 200
+    # wherever the closed forms stay normal floats
+    exact = catalog_family(family.tag, **{k: Fr(v) for k, v in family.params})
+    compared = 0
+    for n, data in enumerate(islice(integer_powers(family), 201)):
+        assert type(data.coefficient) is float
+        # against the closed forms, where they neither overflow nor underflow
+        try:
+            expect = _pochhammer_power(family, n)
+        except OverflowError:
+            expect = None
+        if expect is not None:
+            assert type(expect.coefficient) is float
+            assert data.exponent == expect.exponent
+            if abs(expect.coefficient) >= sys.float_info.min:
+                assert abs(data.coefficient - expect.coefficient) <= 1e-13 * abs(expect.coefficient)
+                compared += 1
+        # against the exact value at the same (binary) parameters
+        true = float(_exact_power(exact, n).coefficient)
+        if abs(true) >= sys.float_info.min:
+            assert abs(data.coefficient - true) <= 1e-13 * abs(true)
+    assert compared >= 80
+
+
+# ------------------------------------------- structural guard: O(terms) walks
+
+def _count_calls(monkeypatch, calls, module, name):
+    real = getattr(module, name, None)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted, raising=False)
+
+
+@pytest.mark.parametrize("family", [
+    catalog_family("Exp"),
+    catalog_family("BesselRegular", nu=Fr(1, 3)),
+    catalog_family("BesselLogSecond", n=1),
+    catalog_family("Hyp1F1Irregular", a=Fr(1, 2), c=Fr(1, 3)),
+    catalog_family("Hyp2F1Regular", a=Fr(1, 2), b=Fr(1, 3), c=Fr(5, 4)),
+    catalog_family("Struve", nu=Fr(1, 3)),
+], ids=lambda f: f.tag)
+def test_residue_eval_walks_the_term_ratio_once(monkeypatch, family):
+    calls = Counter()
+    for name in ("fractional_power_coeff", "_power_exact", "pochhammer", "harmonic"):
+        _count_calls(monkeypatch, calls, regsing.mellin, name)
+    for name in ("pochhammer", "harmonic", "log_second_c1", "log_second_c2"):
+        _count_calls(monkeypatch, calls, regsing.catalog, name)
+    walk = regsing.mellin.integer_powers
+    advanced = []
+
+    def counted_walk(fam):
+        for data in walk(fam):
+            advanced.append(data)
+            yield data
+
+    monkeypatch.setattr(regsing.mellin, "integer_powers", counted_walk)
+    for terms in (0, 1, 2, 60, 150):
+        advanced.clear()
+        residue_eval(family, 0.3, terms)
+        assert len(advanced) == terms
+    assert not calls
+
+
+def test_compare_exp_walks_the_term_ratio(monkeypatch, capsys):
+    calls = Counter()
+    _count_calls(monkeypatch, calls, regsing.mellin, "fractional_power_coeff")
+    _count_calls(monkeypatch, calls, regsing.cli, "fractional_power_coeff")
+    assert main(["compare", "--family", "exp", "--order", "200"]) == 0
+    assert capsys.readouterr().out == "max_coefficient_discrepancy = 0\n"
+    assert not calls

@@ -385,6 +385,47 @@ def test_log_coefficient_stream_is_proportional_to_regular_series():
         assert sol.f.coefficient(2 * (m + n), 1) == ratio * reg.coefficient(2 * m)
 
 
+def _streams_by_the_old_loop(n, m_max):
+    """Test oracle: the log-case recurrence as the solver iterated it
+    before it became a generator, one list append per step."""
+    c1 = Fr(1, 4**n * math.factorial(n) ** 2)
+    c2 = Fr(0)
+    c1s, c2s = [c1], [c2]
+    for m in range(m_max):
+        den = Fr((1 + m) * (1 + m + n))
+        c2 = c2 / den - c1 * (2 + 2 * m + n) / (2 * den**2)
+        c1 = c1 / den
+        c1s.append(c1)
+        c2s.append(c2)
+    return tuple(c1s), tuple(c2s)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_log_streams_are_computed_on_first_read(monkeypatch, n):
+    calls = []
+    streams = regsing.solver.log_second_recurrence_streams
+
+    def counted(*args):
+        calls.append(args)
+        return streams(*args)
+
+    monkeypatch.setattr(regsing.solver, "log_second_recurrence_streams", counted)
+    N = 40
+    sol = solve_log_second(bessel_problem(Fr(n), N), n, order=N)
+    assert calls == []
+    first = sol.log_streams
+    assert calls == [(n, (N - 2 * n) // 2)]
+    assert sol.log_streams is first and len(calls) == 1
+    assert first == _streams_by_the_old_loop(n, (N - 2 * n) // 2)
+    assert solve(bessel_problem(Fr(1, 3)), 1, 1, 0, order=8).log_streams is None
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("m_max", [-1, 0, 1, 30])
+def test_log_second_recurrence_streams_equal_the_old_loop(n, m_max):
+    assert log_second_recurrence_streams(n, m_max) == _streams_by_the_old_loop(n, m_max)
+
+
 def test_log_second_rejects_wrong_gap():
     with pytest.raises(ValueError):
         solve_log_second(bessel_problem(Fr(2)), 1, order=8)
