@@ -13,7 +13,8 @@ residues at s = -k reproduce the series term by term.  This module provides:
 - fractional_power_coeff: the coefficient/exponent data of A^v(seed), from
   integer_powers at integer v and the gamma closed forms otherwise;
 - mellin_integrand / contour_eval: the line integrand and its trapezoid
-  quadrature with tail diagnostics;
+  quadrature with tail diagnostics.  The weighted terms are summed with
+  math.fsum, so the sum is correctly rounded and the same on every machine;
 - residue_eval: partial sums of the analytic residues (the series route),
   one term-ratio step per residue.
 
@@ -35,8 +36,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-
-import numpy as np
 
 from .catalog import ParameterError, struve_prefactor
 from .logseries import LogSeries, integrate
@@ -640,6 +639,11 @@ def contour_eval(family: CatalogFamily, z: float,
                  full_output: bool = False):
     """Trapezoid quadrature of the line integrand over [-T, T].
 
+    The nodes are a + i(-T + h*j) for j = 0, ..., count - 1, with weight h
+    and h/2 at both ends.  The real and the imaginary parts of the weighted
+    terms are each summed with math.fsum: the correctly rounded sum of the
+    same products, independent of the machine and of any BLAS.
+
     Raises AccuracyError when the tail estimate (from the sampled decay rate
     of the integrand modulus near |t| = T) exceeds tol; with
     full_output=True returns the raw ContourResult diagnostics instead of
@@ -651,17 +655,16 @@ def contour_eval(family: CatalogFamily, z: float,
     count = int(math.floor(2 * T / h + 1e-9)) + 1
     if count < 3:
         raise ValueError("step too large for the requested half_height")
-    ts = -T + h * np.arange(count)
-    vals = np.array(
-        [mellin_integrand(family, complex(a, t), z, branch=spec.branch)
-         for t in ts],
-        dtype=complex)
-    weights = np.full(count, h)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    total = complex(np.dot(weights, vals)) / (2.0 * math.pi)
+    vals = [mellin_integrand(family, complex(a, -T + h * i), z,
+                             branch=spec.branch)
+            for i in range(count)]
+    weights = [h] * count
+    weights[0] = weights[-1] = 0.5 * h
+    terms = [w * v for w, v in zip(weights, vals)]
+    total = complex(math.fsum(t.real for t in terms),
+                    math.fsum(t.imag for t in terms)) / (2.0 * math.pi)
 
-    tail = _tail_estimate(np.abs(vals), T, h)
+    tail = _tail_estimate(vals, T, h)
     if full_output:
         return ContourResult(value=total.real, imag_magnitude=abs(total.imag),
                              tail_estimate=tail, nodes=count)
@@ -678,18 +681,19 @@ def contour_eval(family: CatalogFamily, z: float,
     return total.real
 
 
-def _tail_estimate(moduli: np.ndarray, T: float, h: float) -> float:
+def _tail_estimate(vals: list[complex], T: float, h: float) -> float:
     """Extrapolated |tail| of the two half-lines beyond +-T.
 
     Fits a per-unit geometric decay ratio from the last `offset` units of the
-    sampled modulus; no decay means an unbounded (infinite) estimate.
+    sampled modulus; no decay means an unbounded (infinite) estimate.  Only
+    the moduli at both ends and `offset` inside them are read.
     """
     offset = min(5.0, T / 2)
     k = max(1, int(round(offset / h)))
-    m_end = max(moduli[0], moduli[-1])
+    m_end = max(abs(vals[0]), abs(vals[-1]))
     if m_end == 0.0:
         return 0.0
-    m_in = max(moduli[k], moduli[-1 - k])
+    m_in = max(abs(vals[k]), abs(vals[-1 - k]))
     if m_in == 0.0:
         return float("inf")
     ratio = (m_end / m_in) ** (1.0 / offset)

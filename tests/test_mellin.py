@@ -4,10 +4,13 @@ equivalence, and honest contour quadrature diagnostics."""
 import cmath
 import functools
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction as Fr
 from itertools import islice
+from pathlib import Path
 
 import pytest
 import scipy.special as sp
@@ -31,6 +34,7 @@ from regsing.catalog import (
 from regsing.cli import main
 from regsing.mellin import (
     AccuracyError,
+    ContourResult,
     ContourSpec,
     EULER_GAMMA,
     PoleError,
@@ -702,3 +706,155 @@ def test_compare_exp_walks_the_term_ratio(monkeypatch, capsys):
     assert main(["compare", "--family", "exp", "--order", "200"]) == 0
     assert capsys.readouterr().out == "max_coefficient_discrepancy = 0\n"
     assert not calls
+
+
+# ------------------------------------------ numpy-free trapezoid, exact sum
+
+CRITERION_7_FAMILIES = [
+    catalog_family("Exp"),
+    catalog_family("BesselRegular", nu=0),
+    catalog_family("Hyp1F1Regular", a=1, c=Fr(3, 2)),
+    catalog_family("Hyp2F1Regular", a=Fr(1, 2), b=Fr(1, 3), c=Fr(5, 4)),
+    catalog_family("Struve", nu=0),
+]
+CONTOUR_SPECS = [ContourSpec(), ContourSpec(half_height=80.0, step=0.025)]
+
+
+def test_import_and_contour_eval_do_not_load_numpy():
+    code = (
+        "import sys\n"
+        "import regsing, regsing.cli\n"
+        "from regsing.mellin import catalog_family, contour_eval\n"
+        "res = contour_eval(catalog_family('BesselRegular', nu=0), 0.25,\n"
+        "                   full_output=True)\n"
+        "assert res.nodes == 1601\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    src = str(Path(regsing.mellin.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_pyproject_declares_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(path, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+
+
+def _numpy_nodes(spec):
+    """Test oracle: the node heights as numpy builds them."""
+    np = pytest.importorskip("numpy")
+    T, h = spec.half_height, spec.step
+    count = int(math.floor(2 * T / h + 1e-9)) + 1
+    return (-T + h * np.arange(count)).tolist()
+
+
+def _numpy_tail_estimate(moduli, T, h):
+    """Test oracle: the tail estimate over all moduli, numpy style."""
+    offset = min(5.0, T / 2)
+    k = max(1, int(round(offset / h)))
+    m_end = max(moduli[0], moduli[-1])
+    if m_end == 0.0:
+        return 0.0
+    m_in = max(moduli[k], moduli[-1 - k])
+    if m_in == 0.0:
+        return float("inf")
+    ratio = (m_end / m_in) ** (1.0 / offset)
+    if ratio >= 0.999999:
+        return float("inf")
+    return float(m_end / (-math.log(ratio)) / math.pi)
+
+
+def _numpy_trapezoid(vals, spec):
+    """Test oracle: the weighted sum by np.dot, whose summation order is the
+    BLAS kernel's, and the tail estimate from np.abs of every node."""
+    np = pytest.importorskip("numpy")
+    T, h = spec.half_height, spec.step
+    vals = np.array(vals, dtype=complex)
+    weights = np.full(len(vals), h)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    total = complex(np.dot(weights, vals)) / (2.0 * math.pi)
+    return ContourResult(value=total.real, imag_magnitude=abs(total.imag),
+                         tail_estimate=_numpy_tail_estimate(np.abs(vals), T, h),
+                         nodes=len(vals))
+
+
+def _weighted_terms(vals, h):
+    weights = [h] * len(vals)
+    weights[0] = weights[-1] = 0.5 * h
+    return [w * v for w, v in zip(weights, vals)]
+
+
+def _exactly_summed(parts):
+    """The exact sum of the floats, rounded once, over 2 pi."""
+    return float(sum(Fr(x) for x in parts)) / (2.0 * math.pi)
+
+
+def _recording_integrand(monkeypatch, seen):
+    """Patch mellin_integrand to append each node s and then its value."""
+    def recorded(family, s, z, branch="principal"):
+        seen.append(s)
+        value = mellin_integrand(family, s, z, branch=branch)
+        seen.append(value)
+        return value
+
+    monkeypatch.setattr(regsing.mellin, "mellin_integrand", recorded)
+
+
+@pytest.mark.parametrize("spec", CONTOUR_SPECS, ids=["default", "finer"])
+@pytest.mark.parametrize("z", [0.25, 0.5])
+@pytest.mark.parametrize("family", [f for f in CRITERION_7_FAMILIES
+                                    if not f.tag.startswith("Hyp2F1")],
+                         ids=lambda f: f.tag)
+def test_trapezoid_sum_is_exact_and_nodes_unchanged(monkeypatch, family, z, spec):
+    seen = []
+    _recording_integrand(monkeypatch, seen)
+    res = contour_eval(family, z, spec, full_output=True)
+    nodes, vals = seen[0::2], seen[1::2]
+    assert [s.imag for s in nodes] == _numpy_nodes(spec)
+    assert all(s.real == spec.abscissa for s in nodes)
+    assert res.nodes == len(nodes)
+
+    terms = _weighted_terms(vals, spec.step)
+    value = _exactly_summed(t.real for t in terms)
+    imag = _exactly_summed(t.imag for t in terms)
+    assert res.value == value
+    assert res.imag_magnitude == abs(imag)
+    # the signed imaginary part: with the integrand times 1j, the weighted
+    # real parts are exactly minus the imaginary parts above
+    monkeypatch.setattr(regsing.mellin, "mellin_integrand",
+                        lambda *args, **kwargs: 1j * mellin_integrand(*args, **kwargs))
+    assert contour_eval(family, z, spec, full_output=True).value == -imag
+
+    old = _numpy_trapezoid(vals, spec)
+    bound = 2 * len(terms) * sys.float_info.epsilon * sum(abs(t) for t in terms)
+    assert abs(res.value - old.value) <= bound
+    assert abs(res.imag_magnitude - old.imag_magnitude) <= bound
+    assert res.tail_estimate == old.tail_estimate
+    assert res.nodes == old.nodes
+
+
+@pytest.mark.parametrize("spec", CONTOUR_SPECS, ids=["default", "finer"])
+@pytest.mark.parametrize("z", [0.25, 0.5])
+def test_trapezoid_hits_the_2f1_pole_at_the_same_node(monkeypatch, z, spec):
+    family = CRITERION_7_FAMILIES[3]
+    expect = None
+    for t in _numpy_nodes(spec):
+        try:
+            mellin_integrand(family, complex(spec.abscissa, t), z)
+        except PoleError as exc:
+            expect = (complex(spec.abscissa, t), str(exc))
+            break
+    assert expect is not None
+    seen = []
+    _recording_integrand(monkeypatch, seen)
+    with pytest.raises(PoleError) as exc:
+        contour_eval(family, z, spec, full_output=True)
+    assert (seen[-1], str(exc.value)) == expect
