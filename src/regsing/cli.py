@@ -31,18 +31,20 @@ from .logseries import (
     linear_combine,
 )
 from .mellin import (
+    _FAMILY_PARAMS,
     AccuracyError,
     ContourSpec,
     PoleError,
+    _family_problem,
     catalog_family,
     contour_eval,
     integer_powers,
     residue_eval,
 )
 from .operators import SingularTerm
-from .problem import ComplexRootsUnsupported, OdeProblem, root_index
+from .problem import ComplexRootsUnsupported, OdeProblem
 from .scalars import parse_rational
-from .solver import IndexMismatch, solve, solve_log_second
+from .solver import IndexMismatch, solve
 
 
 class ParseError(ValueError):
@@ -203,26 +205,26 @@ def _print_series(f: LogSeries, meta: list, fmt: str, out) -> None:
 
 
 _FAMILY_CLI = {
-    "exp": ("Exp", ()),
-    "cos": ("TrigHyp", ("omega",)),
-    "sin": ("TrigHyp", ("omega",)),
-    "cosh": ("TrigHyp", ("omega",)),
-    "sinh": ("TrigHyp", ("omega",)),
-    "bessel": ("BesselRegular", ("nu",)),
-    "bessel_irregular": ("BesselIrregular", ("nu",)),
-    "bessel_log": ("BesselLogSecond", ("n",)),
-    "hyp1f1": ("Hyp1F1Regular", ("a", "c")),
-    "hyp1f1_irregular": ("Hyp1F1Irregular", ("a", "c")),
-    "hyp2f1": ("Hyp2F1Regular", ("a", "b", "c")),
-    "hyp2f1_irregular": ("Hyp2F1Irregular", ("a", "b", "c")),
-    "struve": ("Struve", ("nu",)),
+    "exp": "Exp",
+    **dict.fromkeys(("cos", "sin", "cosh", "sinh"), "TrigHyp"),
+    "bessel": "BesselRegular",
+    "bessel_irregular": "BesselIrregular",
+    "bessel_log": "BesselLogSecond",
+    "hyp1f1": "Hyp1F1Regular",
+    "hyp1f1_irregular": "Hyp1F1Irregular",
+    "hyp2f1": "Hyp2F1Regular",
+    "hyp2f1_irregular": "Hyp2F1Irregular",
+    "struve": "Struve",
 }
 
 
 def _family_from_args(args) -> "CatalogFamily":
-    tag, needed = _FAMILY_CLI[args.family]
+    tag = _FAMILY_CLI[args.family]
     params = {}
-    for name in needed:
+    for name in _FAMILY_PARAMS[tag]:
+        if name == "variant":
+            params[name] = args.family
+            continue
         value = getattr(args, name, None)
         if value is None:
             raise ParameterError(f"--family {args.family} requires --{name}")
@@ -232,85 +234,53 @@ def _family_from_args(args) -> "CatalogFamily":
         if n.denominator != 1:
             raise ParameterError("--n must be an integer")
         params["n"] = int(n)
-    if tag == "TrigHyp":
-        params["variant"] = args.family
     return catalog_family(tag, **params)
 
 
-def _family_solver_series(args, order: int):
-    """(solver LogSeries, oracle LogSeries) in the f-space of the family."""
-    name = args.family
-    fam = _family_from_args(args)
-    if name == "exp":
-        coeffs = {}
-        for k, data in zip(range(order + 1), integer_powers(fam)):
-            coeffs[(k, 0)] = data.coefficient * (1 if k % 2 == 0 else -1)
-        got = LogSeries(0, order, coeffs)
-        oracle = LogSeries(0, order,
-                           {(k, 0): Fraction(1, factorial(k))
-                            for k in range(order + 1)})
-        return got, oracle
-    if name in ("cos", "sin", "cosh", "sinh"):
-        omega = args.omega
-        q0 = omega * omega if name in ("cos", "sin") else -omega * omega
-        prob = OdeProblem("two_point", {}, {0: q0}, series_cutoff=order)
-        root = 2 if name in ("cos", "cosh") else 1
-        sol = solve(prob, root, 1, 0, order=order)
-        shift = 0 if name in ("cos", "cosh") else 1
-        sign = -1 if name in ("cos", "sin") else 1
-        coeffs = {}
-        for k in range(order // 2 + 1):
-            coeffs[(2 * k, 0)] = (sign ** k) * (omega ** (2 * k)) \
-                / Fraction(factorial(2 * k + shift))
-        oracle = LogSeries(0, order, coeffs)
-        return sol.f, oracle
-    if name == "bessel":
-        nu = args.nu
-        prob = OdeProblem("two_point", {-1: 1}, {-2: -nu * nu, 0: 1},
-                          series_cutoff=order)
-        return solve(prob, 1, 1, 0, order=order).f, bessel_j_series(nu, order)
-    if name == "bessel_irregular":
-        nu = args.nu
-        prob = OdeProblem("two_point", {-1: 1}, {-2: -nu * nu, 0: 1},
-                          series_cutoff=order)
-        sol = solve(prob, 1, 0, 1, order=order)
-        other = bessel_j_series(-nu, order)
-        scale = Fraction(-1, 2) / nu
-        oracle = LogSeries(-2 * nu, order,
-                           {mk: scale * c for mk, c in other.coeffs.items()})
-        return sol.f, oracle
-    if name == "bessel_log":
-        n = int(args.n)
-        prob = OdeProblem("two_point", {-1: 1}, {-2: -n * n, 0: 1},
-                          series_cutoff=order)
-        sol = solve_log_second(prob, n, order=order)
-        return sol.f, bessel_log_second_series(n, order)
-    if name in ("hyp1f1", "hyp1f1_irregular"):
-        a, c = args.a, args.c
-        prob = OdeProblem("two_point", {-1: c, 0: -1}, {-1: -a},
-                          series_cutoff=order)
-        if name == "hyp1f1":
-            sol = solve(prob, root_index(prob, 0), 1, 0, order=order)
-            return sol.f, hyp1f1_series(a, c, order)
-        sol = solve(prob, root_index(prob, 1 - c), 1, 0, order=order)
-        return sol.f, hyp1f1_series(a + 1 - c, 2 - c, order)
-    if name in ("hyp2f1", "hyp2f1_irregular"):
-        a, b, c = args.a, args.b, args.c
-        prob = OdeProblem("three_point", {-1: c, 0: -(a + b + 1)},
-                          {-1: -a * b}, series_cutoff=order)
-        if name == "hyp2f1":
-            sol = solve(prob, root_index(prob, 0), 1, 0, order=order)
-            return sol.f, hyp2f1_series(a, b, c, order)
-        sol = solve(prob, root_index(prob, 1 - c), 1, 0, order=order)
-        return sol.f, hyp2f1_series(a + 1 - c, b + 1 - c, 2 - c, order)
-    if name == "struve":
-        nu = args.nu
-        rhs = LogSeries.monomial(1, nu - 1, order)
-        prob = OdeProblem("two_point", {-1: 1}, {-2: -nu * nu, 0: 1},
-                          rhs=rhs, series_cutoff=order)
-        sol = solve(prob, 1, 0, 0, order=order)
-        return sol.psi, struve_series(nu, order, scaled=True)
-    raise ParameterError(name)  # pragma: no cover
+def _trig_series(p, order: int) -> LogSeries:
+    shift = 0 if p["variant"] in ("cos", "cosh") else 1
+    sign = -1 if p["variant"] in ("cos", "sin") else 1
+    return LogSeries(0, order, {(2 * k, 0): sign ** k * p["omega"] ** (2 * k)
+                                / Fraction(factorial(2 * k + shift))
+                                for k in range(order // 2 + 1)})
+
+
+def _bessel_irregular_series(p, order: int) -> LogSeries:
+    """-z^{-2 nu}/(2 nu) times the bessel_j_series of -nu."""
+    nu = p["nu"]
+    return LogSeries(-2 * nu, order, {mk: Fraction(-1, 2) / nu * c for mk, c
+                                      in bessel_j_series(-nu, order).coeffs.items()})
+
+
+# family name -> (params, order) -> the classical series the solver is
+# compared against: catalog.py and factorial formulas, independent of the
+# solver and of the term ratios
+_ORACLES = {
+    "exp": lambda p, n: LogSeries(0, n, {(k, 0): Fraction(1, factorial(k))
+                                         for k in range(n + 1)}),
+    **dict.fromkeys(("cos", "sin", "cosh", "sinh"), _trig_series),
+    "bessel": lambda p, n: bessel_j_series(p["nu"], n),
+    "bessel_irregular": _bessel_irregular_series,
+    "bessel_log": lambda p, n: bessel_log_second_series(p["n"], n),
+    "hyp1f1": lambda p, n: hyp1f1_series(p["a"], p["c"], n),
+    "hyp1f1_irregular": lambda p, n: hyp1f1_series(p["a"] + 1 - p["c"], 2 - p["c"], n),
+    "hyp2f1": lambda p, n: hyp2f1_series(p["a"], p["b"], p["c"], n),
+    "hyp2f1_irregular": lambda p, n: hyp2f1_series(
+        p["a"] + 1 - p["c"], p["b"] + 1 - p["c"], 2 - p["c"], n),
+    "struve": lambda p, n: struve_series(p["nu"], n, scaled=True),
+}
+
+
+def _family_solver_series(name: str, fam, order: int):
+    """(solver LogSeries, oracle LogSeries) of the family: f, or psi for
+    Struve.  Exp has no equation and sums its integer powers."""
+    oracle = _ORACLES[name](dict(fam.params), order)
+    if fam.tag == "Exp":
+        coeffs = {(k, 0): data.coefficient * (1 if k % 2 == 0 else -1)
+                  for k, data in zip(range(order + 1), integer_powers(fam))}
+        return LogSeries(0, order, coeffs), oracle
+    sol = solve(*_family_problem(fam, order), order=order)
+    return (sol.psi if fam.tag == "Struve" else sol.f), oracle
 
 
 # ---------------------------------------------------------------- commands
@@ -374,12 +344,12 @@ def cmd_contour(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    got, oracle = _family_solver_series(args, args.order)
+    family = _family_from_args(args)
+    got, oracle = _family_solver_series(args.family, family, args.order)
     diff = linear_combine(1, got, -1, oracle)
     worst = max((abs(c) for c in diff.coeffs.values()), default=0)
     print(f"max_coefficient_discrepancy = {worst}")
     ok = float(worst) <= args.tol
-    family = _family_from_args(args)
     for z in args.z or []:
         series = residue_eval(family, z)
         try:

@@ -7,11 +7,12 @@ residues at s = -k reproduce the series term by term.  This module provides:
 
 - complex_gamma / digamma: the special functions the integrands are built of,
   accurate to ~1e-13 on the strip |Re s| <= 10, |Im s| <= 50;
-- CatalogFamily: validated (tag, params) records for the supported families;
-- integer_powers: the exact A^n(seed), n = 0, 1, 2, ..., each family defined
-  once by its term ratio A^{n+1}/A^n;
+- CatalogFamily: validated (tag, params) records for the supported families,
+  each defined once by its term ratio A^{n+1}/A^n = K prod(n+t)/prod(n+b)
+  (_term_ratio) and by its equation, root and seeds (_family_problem);
+- integer_powers: the exact A^n(seed), n = 0, 1, 2, ..., one ratio step each;
 - fractional_power_coeff: the coefficient/exponent data of A^v(seed), from
-  integer_powers at integer v and the gamma closed forms otherwise;
+  integer_powers at integer v and the gamma form of the term ratio otherwise;
 - mellin_integrand / contour_eval: the line integrand and its trapezoid
   quadrature with tail diagnostics.  The weighted terms are summed with
   math.fsum, so the sum is correctly rounded and the same on every machine;
@@ -35,14 +36,16 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
+from typing import NamedTuple
 
 from .catalog import ParameterError, struve_prefactor
 from .logseries import LogSeries, integrate
 from .operators import apply_A
 from .problem import OdeProblem, root_index, transform
 from .scalars import Scalar, as_int, is_exact
-from .solver import log_second_recurrence
+from .solver import _driving_term, log_second_recurrence
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -164,6 +167,12 @@ class CatalogFamily:
                 return value
         raise KeyError(name)
 
+    @cached_property
+    def gamma_form(self) -> GammaForm:
+        """The complex-power data of every family but BesselLogSecond,
+        computed on first read and kept: the contour reads it at each node."""
+        return _gamma_form(self)
+
 
 def _nonpositive_int_param(x) -> bool:
     n = as_int(x)
@@ -200,18 +209,9 @@ def catalog_family(tag: str, **params) -> CatalogFamily:
         if n is None or n < 0:
             raise ParameterError("n must be a non-negative integer")
         params = {"n": n}
-    elif tag in ("Hyp1F1Regular", "Hyp1F1Irregular"):
-        a, c = params["a"], params["c"]
-        if tag == "Hyp1F1Irregular":
-            a, c = a + 1 - c, 2 - c
-        if _nonpositive_int_param(a) or _nonpositive_int_param(c):
-            raise ParameterError(
-                "effective parameters must avoid non-positive integers")
-    elif tag in ("Hyp2F1Regular", "Hyp2F1Irregular"):
-        a, b, c = params["a"], params["b"], params["c"]
-        if tag == "Hyp2F1Irregular":
-            a, b, c = a + 1 - c, b + 1 - c, 2 - c
-        if any(_nonpositive_int_param(x) for x in (a, b, c)):
+    elif tag.startswith("Hyp"):
+        family = CatalogFamily(tag, tuple(sorted(params.items())))
+        if any(_nonpositive_int_param(x) for x in _hyp_params(family)):
             raise ParameterError(
                 "effective parameters must avoid non-positive integers")
     elif tag == "Struve":
@@ -224,18 +224,44 @@ def catalog_family(tag: str, **params) -> CatalogFamily:
 
 def _hyp_params(family: CatalogFamily):
     """Effective parameters; the irregular tags use the second-root values."""
-    if family.tag.startswith("Hyp1F1"):
-        a, c = family.param("a"), family.param("c")
-        if family.tag.endswith("Irregular"):
-            a, c = a + 1 - c, 2 - c
-        return a, c
-    a, b, c = family.param("a"), family.param("b"), family.param("c")
+    *tops, c = (family.param(name) for name in _FAMILY_PARAMS[family.tag])
     if family.tag.endswith("Irregular"):
-        a, b, c = a + 1 - c, b + 1 - c, 2 - c
-    return a, b, c
+        return (*(t + 1 - c for t in tops), 2 - c)
+    return (*tops, c)
 
 
 # ------------------------------------------------- operator route (exact)
+
+def _family_problem(family: CatalogFamily, order: int):
+    """(OdeProblem, root_choice, c0, c1): the family's equation, its root,
+    picked by value (0 or 1 for the trigonometric forms, nu for the Bessel
+    ones, 0 or 1 - c for the hypergeometric ones), and the seeds of its
+    solution.  Exp has none."""
+    tag = family.tag
+    if tag == "TrigHyp":
+        omega, variant = family.param("omega"), family.param("variant")
+        w2 = omega * omega
+        prob = OdeProblem("two_point", {}, {0: w2 if variant in ("cos", "sin") else -w2},
+                          series_cutoff=order)
+        return prob, root_index(prob, 0 if variant in ("cos", "cosh") else 1), 1, 0
+    if tag in ("BesselRegular", "BesselIrregular", "BesselLogSecond", "Struve"):
+        nu = family.param("n" if tag == "BesselLogSecond" else "nu")
+        rhs = LogSeries.monomial(1, nu - 1, order) if tag == "Struve" else None
+        prob = OdeProblem("two_point", {-1: 1}, {-2: -nu * nu, 0: 1}, rhs=rhs,
+                          series_cutoff=order)
+        c0, c1 = {"BesselRegular": (1, 0), "Struve": (0, 0)}.get(tag, (0, 1))
+        return prob, root_index(prob, nu), c0, c1
+    if tag.startswith("Hyp1F1"):
+        a, c = family.param("a"), family.param("c")
+        prob = OdeProblem("two_point", {-1: c, 0: -1}, {-1: -a}, series_cutoff=order)
+    elif tag.startswith("Hyp2F1"):
+        a, b, c = family.param("a"), family.param("b"), family.param("c")
+        prob = OdeProblem("three_point", {-1: c, 0: -(a + b + 1)}, {-1: -a * b},
+                          series_cutoff=order)
+    else:
+        raise ParameterError(f"{tag} has no equation")
+    return prob, root_index(prob, 0 if tag.endswith("Regular") else 1 - c), 1, 0
+
 
 def family_operator(family: CatalogFamily, order: int = 20):
     """(seed LogSeries, one-application callable) for the family's iteration.
@@ -243,10 +269,10 @@ def family_operator(family: CatalogFamily, order: int = 20):
     The callable is the same operator the solver iterates, so v-fold
     application is the exact integer-order reference for
     fractional_power_coeff.  Exp iterates a single signed integration; every
-    other family iterates the second-order resolvent kernel.
+    other family iterates the A of its equation (_family_problem), from the
+    solver's driving term as the seed.
     """
-    tag = family.tag
-    if tag == "Exp":
+    if family.tag == "Exp":
         seed = LogSeries.monomial(1, 0, order)
 
         def apply_one(f: LogSeries) -> LogSeries:
@@ -255,56 +281,9 @@ def family_operator(family: CatalogFamily, order: int = 20):
                              {mk: -c for mk, c in g.coeffs.items()})
 
         return seed, apply_one
-
-    if tag == "TrigHyp":
-        omega = family.param("omega")
-        w2 = omega * omega
-        variant = family.param("variant")
-        q0 = w2 if variant in ("cos", "sin") else -w2
-        prob = OdeProblem("two_point", {}, {0: q0}, series_cutoff=order)
-        root = 2 if variant in ("cos", "cosh") else 1
-        spec = transform(prob, root)
-        seed = LogSeries.monomial(1, 0, order)
-    elif tag in ("BesselRegular", "BesselIrregular"):
-        nu = family.param("nu")
-        prob = OdeProblem("two_point", {-1: 1}, {-2: -nu * nu, 0: 1},
-                          series_cutoff=order)
-        spec = transform(prob, 1)
-        if tag == "BesselRegular":
-            seed = LogSeries.monomial(1, 0, order)
-        else:
-            seed = LogSeries.monomial(-_half(nu) / nu, -2 * nu, order)
-    elif tag == "BesselLogSecond":
-        n = family.param("n")
-        prob = OdeProblem("two_point", {-1: 1}, {-2: -n * n, 0: 1},
-                          series_cutoff=order)
-        spec = transform(prob, 1)
-        if n == 0:
-            seed = LogSeries(0, order, {(0, 1): 1})
-        else:
-            seed = LogSeries.monomial(Fraction(-1, 2 * n), -2 * n, order)
-    elif tag in ("Hyp1F1Regular", "Hyp1F1Irregular"):
-        a, c = family.param("a"), family.param("c")
-        prob = OdeProblem("two_point", {-1: c, 0: -1}, {-1: -a},
-                          series_cutoff=order)
-        spec = transform(prob, root_index(prob, 0 if tag == "Hyp1F1Regular" else 1 - c))
-        seed = LogSeries.monomial(1, 0, order)
-    elif tag in ("Hyp2F1Regular", "Hyp2F1Irregular"):
-        a, b, c = family.param("a"), family.param("b"), family.param("c")
-        prob = OdeProblem("three_point", {-1: c, 0: -(a + b + 1)},
-                          {-1: -a * b}, series_cutoff=order)
-        spec = transform(prob, root_index(prob, 0 if tag == "Hyp2F1Regular" else 1 - c))
-        seed = LogSeries.monomial(1, 0, order)
-    elif tag == "Struve":
-        nu = family.param("nu")
-        prob = OdeProblem("two_point", {-1: 1}, {-2: -nu * nu, 0: 1},
-                          series_cutoff=order)
-        spec = transform(prob, 1)
-        seed = LogSeries.monomial(_one(nu) / (2 * nu + 1), 1, order)
-    else:  # pragma: no cover
-        raise ParameterError(tag)
-
-    return seed, lambda f: apply_A(spec, f)
+    prob, root, c0, c1 = _family_problem(family, order)
+    spec = transform(prob, root)
+    return _driving_term(prob, spec, c0, c1, order), lambda f: apply_A(spec, f)
 
 
 def _one(*xs) -> Scalar:
@@ -334,14 +313,6 @@ def _as_nonneg_int(v):
     return n if n is not None and n >= 0 else None
 
 
-def _sign_pow(v):
-    """(-1)^v: exact +-1 at integers, e^{i pi v} otherwise (principal branch)."""
-    n = _as_nonneg_int(v)
-    if n is not None:
-        return 1 if n % 2 == 0 else -1
-    return cmath.exp(1j * math.pi * complex(v))
-
-
 def fractional_power_coeff(family: CatalogFamily, v) -> PowerData:
     """Coefficient/exponent data of A^v applied to the family seed.
 
@@ -349,38 +320,20 @@ def fractional_power_coeff(family: CatalogFamily, v) -> PowerData:
     steps): exact rationals equal to v-fold family_operator application for
     exact params, and within 1e-13 relative of the Pochhammer closed forms
     for float params and v <= 200, wherever those stay normal floats.
-    Non-integer v analytically continues the closed form through gamma and
-    digamma (heuristic for the logarithmic family, where it is validated
-    numerically rather than proven).
+    Non-integer v continues the term ratio A^{n+1}/A^n = K prod(n + t) /
+    prod(n + b) through gamma: A^0 K^v prod Gamma(t + v)/Gamma(t)
+    prod Gamma(b)/Gamma(b + v), with K^v = |K|^v e^{i pi v} for K < 0 (see
+    GammaForm).  This agrees with the per-family gamma closed forms (kept in
+    the tests) to 1e-13 relative for Re v in (0, 4), |Im v| <= 3.  The
+    logarithmic family is no hypergeometric term and keeps its digamma form,
+    validated numerically rather than proven.
     """
-    tag = family.tag
     n_int = _as_nonneg_int(v)
-
     if n_int is not None:
         return next(islice(integer_powers(family), n_int, None))
 
     v = complex(v)
-    if tag == "Exp":
-        return PowerData(_sign_pow(v) * _recip_gamma(1 + v), v)
-    if tag == "TrigHyp":
-        omega = complex(family.param("omega"))
-        variant = family.param("variant")
-        shift = 1 if variant in ("cos", "cosh") else 2
-        coeff = omega ** (2 * v) * _recip_gamma(shift + 2 * v)
-        if variant in ("cosh", "sinh"):
-            coeff *= _sign_pow(v)
-        return PowerData(coeff, 2 * v)
-    if tag == "BesselRegular":
-        nu = complex(family.param("nu"))
-        coeff = (4.0 ** -v * complex_gamma(1 + nu)
-                 * _recip_gamma(1 + v) * _recip_gamma(1 + nu + v))
-        return PowerData(coeff, 2 * v)
-    if tag == "BesselIrregular":
-        nu = complex(family.param("nu"))
-        coeff = (-1 / (2 * nu) * 4.0 ** -v * complex_gamma(1 - nu)
-                 * _recip_gamma(1 + v) * _recip_gamma(1 - nu + v))
-        return PowerData(coeff, 2 * v - 2 * nu)
-    if tag == "BesselLogSecond":
+    if family.tag == "BesselLogSecond":
         n = family.param("n")
         sign = 1 if n % 2 == 0 else -1
         scale = sign * 4.0 ** (n - v) / (4 ** n * math.factorial(n))
@@ -390,26 +343,13 @@ def fractional_power_coeff(family: CatalogFamily, v) -> PowerData:
             * _recip_gamma(1 + v - n)
             + _psi_over_gamma(1 + v - n))
         return PowerData(c2, 2 * (v - n), c1)
-    if tag in ("Hyp1F1Regular", "Hyp1F1Irregular"):
-        a, c = (complex(x) for x in _hyp_params(family))
-        coeff = (_sign_pow(v) * complex_gamma(a + v) * complex_gamma(c)
-                 * _recip_gamma(a) * _recip_gamma(1 + v)
-                 * _recip_gamma(c + v))
-        return PowerData(coeff, v)
-    if tag in ("Hyp2F1Regular", "Hyp2F1Irregular"):
-        a, b, c = (complex(x) for x in _hyp_params(family))
-        coeff = (_sign_pow(v)
-                 * complex_gamma(a + v) * complex_gamma(b + v)
-                 * complex_gamma(c) * _recip_gamma(a) * _recip_gamma(b)
-                 * _recip_gamma(1 + v) * _recip_gamma(c + v))
-        return PowerData(coeff, v)
-    if tag == "Struve":
-        nu = complex(family.param("nu"))
-        coeff = (4.0 ** -v / (2 * nu + 1)
-                 * complex_gamma(1.5) * complex_gamma(1.5 + nu)
-                 * _recip_gamma(1.5 + v) * _recip_gamma(1.5 + nu + v))
-        return PowerData(coeff, 2 * v + 1)
-    raise ParameterError(tag)  # pragma: no cover
+    form = family.gamma_form
+    coeff = form.scale * cmath.exp(v * form.log_k)
+    for t in form.tops:
+        coeff *= complex_gamma(t + v)
+    for b in form.bottoms:
+        coeff *= _recip_gamma(b + v)
+    return PowerData(coeff, form.base + form.step * v)
 
 
 def integer_powers(family: CatalogFamily):
@@ -464,6 +404,37 @@ def _term_ratio(family: CatalogFamily):
         return (_one(nu) / (2 * nu + 1), Fraction(1, 4), (),
                 (half3, half3 + nu), 1, 2)
     raise ParameterError(tag)  # pragma: no cover
+
+
+class GammaForm(NamedTuple):
+    """A hypergeometric-term family's A^v(seed) at complex v: scale K^v
+    prod Gamma(t + v) / prod Gamma(b + v) at z^(base + step v).  Built once
+    per family from _term_ratio (CatalogFamily.gamma_form)."""
+    scale: complex           # A^0 prod Gamma(b) / prod Gamma(t)
+    log_k: complex           # principal log K: log|K| + i pi for K < 0
+    tops: tuple
+    bottoms: tuple
+    line_bottoms: tuple      # bottoms less one b = 1, cancelled by Gamma(1 - s)
+    cancels_one: bool        # whether line_bottoms lost that b = 1
+    base: float
+    step: int
+
+
+def _gamma_form(family: CatalogFamily) -> GammaForm:
+    coeff, k, tops, bottoms, base, step = _term_ratio(family)
+    tops = tuple(map(complex, tops))
+    bottoms = tuple(map(complex, bottoms))
+    scale = complex(coeff)
+    for b in bottoms:
+        scale *= complex_gamma(b)
+    for t in tops:
+        scale *= _recip_gamma(t)
+    line_bottoms = list(bottoms)
+    cancels_one = 1 in line_bottoms
+    if cancels_one:
+        line_bottoms.remove(1)
+    return GammaForm(scale, complex(math.log(abs(k)), math.pi if k < 0 else 0.0),
+                     tops, bottoms, tuple(line_bottoms), cancels_one, float(base), step)
 
 
 def _log_second_powers(nn: int):
@@ -545,63 +516,36 @@ def mellin_integrand(family: CatalogFamily, s: complex, z: float,
                      branch: str = "principal") -> complex:
     """Full line integrand so that (1/2 pi i) * integral ds = target value.
 
-    branch fixes the determination of log(-z) (and of the (-1)^s factors):
-    "principal" uses +i pi, "lower" uses -i pi.  Residue sums are branch
-    independent; the line values are not.
+    Gamma(s) Gamma(1-s) (A^{-s} seed)(z) family_target_factor(z), with A^{-s}
+    from the family's gamma_form and one Gamma(1-s) cancelled against a
+    bottom b = 1 where there is one; this agrees with the per-family closed
+    forms (kept in the tests) to 1e-12 relative for Re s in (0, 1),
+    |Im s| <= 40.  The logarithmic family takes fractional_power_coeff(family,
+    -s) instead.
+
+    branch fixes the determination of log K for K < 0 (the (-1)^s factors
+    of the families whose series alternate through log(-z)): "principal"
+    uses +i pi, "lower" uses -i pi, so that lower(s) = conj(principal(conj
+    s)).  Residue sums are branch independent; the line values are not.
     """
-    s = complex(s)
-    zf = float(z)
-    pi_hat = math.pi if branch == "principal" else -math.pi
     if branch not in ("principal", "lower"):
         raise ValueError("branch must be 'principal' or 'lower'")
-    tag = family.tag
-
-    if tag == "Exp":
-        return complex_gamma(s) * cmath.exp(-s * complex(math.log(zf), pi_hat))
-    if tag == "TrigHyp":
-        omega = float(family.param("omega"))
-        variant = family.param("variant")
-        core = complex_gamma(s) * complex_gamma(1 - s)
-        arg = cmath.exp(-2 * s * math.log(omega * zf))
-        if variant in ("cos", "cosh"):
-            val = core * _recip_gamma(1 - 2 * s) * arg
-        else:
-            val = core * _recip_gamma(2 - 2 * s) * arg * zf
-        if variant in ("cosh", "sinh"):
-            val *= cmath.exp(complex(0, -pi_hat) * s)
-        return val
-    if tag == "BesselRegular":
-        nu = float(family.param("nu"))
-        return (complex_gamma(s) * complex_gamma(1 + nu)
-                * _recip_gamma(1 + nu - s)
-                * cmath.exp(-2 * s * math.log(zf / 2)))
-    if tag == "BesselIrregular":
-        nu = float(family.param("nu"))
-        return (-1 / (2 * nu) * complex_gamma(s) * complex_gamma(1 - nu)
-                * _recip_gamma(1 - nu - s)
-                * cmath.exp(-2 * s * math.log(zf / 2)) * zf ** (-2 * nu))
-    if tag == "BesselLogSecond":
+    s = complex(s)
+    zf = float(z)
+    if family.tag == "BesselLogSecond":
         data = fractional_power_coeff(family, -s)
-        return (complex_gamma(s) * complex_gamma(1 - s)
-                * evaluate_power(data, zf))
-    if tag in ("Hyp1F1Regular", "Hyp1F1Irregular"):
-        a, c = (complex(x) for x in _hyp_params(family))
-        return (complex_gamma(c) * _recip_gamma(a)
-                * complex_gamma(s) * complex_gamma(a - s)
-                * _recip_gamma(c - s)
-                * cmath.exp(-s * complex(math.log(zf), pi_hat)))
-    if tag in ("Hyp2F1Regular", "Hyp2F1Irregular"):
-        a, b, c = (complex(x) for x in _hyp_params(family))
-        return (complex_gamma(c) * _recip_gamma(a) * _recip_gamma(b)
-                * complex_gamma(s) * complex_gamma(a - s)
-                * complex_gamma(b - s) * _recip_gamma(c - s)
-                * cmath.exp(-s * complex(math.log(zf), pi_hat)))
-    if tag == "Struve":
-        nu = float(family.param("nu"))
-        return (complex_gamma(s) * complex_gamma(1 - s)
-                * cmath.exp((1 + nu - 2 * s) * math.log(zf / 2))
-                * _recip_gamma(1.5 + nu - s) * _recip_gamma(1.5 - s))
-    raise ParameterError(tag)  # pragma: no cover
+        return complex_gamma(s) * complex_gamma(1 - s) * evaluate_power(data, zf)
+    form = family.gamma_form
+    log_k = form.log_k if branch == "principal" else form.log_k.conjugate()
+    val = (complex_gamma(s) * form.scale
+           * cmath.exp((form.base - form.step * s) * math.log(zf) - s * log_k))
+    if not form.cancels_one:
+        val *= complex_gamma(1 - s)
+    for t in form.tops:
+        val *= complex_gamma(t - s)
+    for b in form.line_bottoms:
+        val *= _recip_gamma(b - s)
+    return val * family_target_factor(family, zf)
 
 
 # ----------------------------------------------------------- the quadrature
@@ -686,14 +630,16 @@ def _tail_estimate(vals: list[complex], T: float, h: float) -> float:
 
     Fits a per-unit geometric decay ratio from the last `offset` units of the
     sampled modulus; no decay means an unbounded (infinite) estimate.  Only
-    the moduli at both ends and `offset` inside them are read.
+    the moduli at both ends and `offset` inside them are read, each correctly
+    rounded by math.hypot (the modulus of a complex is not always).
     """
     offset = min(5.0, T / 2)
     k = max(1, int(round(offset / h)))
-    m_end = max(abs(vals[0]), abs(vals[-1]))
+    moduli = [math.hypot(v.real, v.imag) for v in (vals[0], vals[-1], vals[k], vals[-1 - k])]
+    m_end = max(moduli[:2])
     if m_end == 0.0:
         return 0.0
-    m_in = max(abs(vals[k]), abs(vals[-1 - k]))
+    m_in = max(moduli[2:])
     if m_in == 0.0:
         return float("inf")
     ratio = (m_end / m_in) ** (1.0 / offset)

@@ -314,6 +314,19 @@ def test_compare_is_exact_for_every_family(flags, capsys):
     assert "max_coefficient_discrepancy = 0" in out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--family", "bessel", "--nu=-1/3"],
+    ["--family", "bessel", "--nu=-5/2"],
+    ["--family", "bessel_irregular", "--nu=-1/3"],
+    ["--family", "bessel_irregular", "--nu=-1"],
+    ["--family", "struve", "--nu=-1/3"],
+], ids=lambda fl: "".join(fl[1:]))
+def test_compare_is_exact_for_negative_nu(flags, capsys):
+    # the solver takes the root nu by value, the smaller one for nu < 0
+    assert main(["compare"] + flags + ["--order", "16"]) == 0
+    assert capsys.readouterr().out == "max_coefficient_discrepancy = 0\n"
+
+
 def test_compare_with_point_checks_reports_quadrature(capsys):
     # the vertical-line quadrature cannot reach the tolerance, so point
     # checks fail honestly while the coefficient comparison stays exact

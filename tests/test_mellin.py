@@ -5,6 +5,7 @@ import cmath
 import functools
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -40,9 +41,11 @@ from regsing.mellin import (
     PoleError,
     PowerData,
     ResidueResult,
+    _family_problem,
     _half,
     _hyp_params,
     _one,
+    _recip_gamma,
     catalog_family,
     complex_gamma,
     contour_eval,
@@ -57,8 +60,9 @@ from regsing.mellin import (
 )
 from regsing.solver import solve
 
+from test_cli import COMPARE_CASES
 from test_problem import bessel_problem
-from test_solver import struve_problem
+from test_solver import _neumann, struve_problem
 
 ALL_FAMILIES = [
     catalog_family("Exp"),
@@ -177,6 +181,19 @@ def _assert_powers_equal_iteration(family, v_max):
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: repr(f)[:40])
 def test_integer_power_equals_operator_iteration(family):
+    _assert_powers_equal_iteration(family, 6)
+
+
+@pytest.mark.parametrize("family", [
+    catalog_family("BesselRegular", nu=Fr(-1, 3)),
+    catalog_family("BesselRegular", nu=Fr(-5, 2)),
+    catalog_family("BesselIrregular", nu=Fr(-1, 3)),
+    catalog_family("BesselIrregular", nu=-1),
+    catalog_family("Struve", nu=Fr(-1, 3)),
+], ids=lambda f: repr(f)[:48])
+def test_integer_power_equals_operator_iteration_negative_nu(family):
+    # for nu < 0 the root nu is the smaller one: the operator picks its root
+    # by value, as the term ratio (based at z^nu) does
     _assert_powers_equal_iteration(family, 6)
 
 
@@ -771,18 +788,35 @@ def _numpy_tail_estimate(moduli, T, h):
     return float(m_end / (-math.log(ratio)) / math.pi)
 
 
+def _exact_modulus(v):
+    """Test oracle: |v| from the exact sum of squares, rounded once (the
+    float whose rounding interval holds the true root)."""
+    q = Fr(v.real) ** 2 + Fr(v.imag) ** 2
+    if q == 0:
+        return 0.0
+    e = (q.denominator.bit_length() - q.numerator.bit_length()) // 2
+    r = math.ldexp(math.sqrt(float(q * Fr(4) ** e)), -e)   # within an ulp or two
+    while (Fr(r) + Fr(math.nextafter(r, math.inf))) ** 2 < 4 * q:
+        r = math.nextafter(r, math.inf)
+    while (Fr(r) + Fr(math.nextafter(r, 0.0))) ** 2 > 4 * q:
+        r = math.nextafter(r, 0.0)
+    return r
+
+
 def _numpy_trapezoid(vals, spec):
     """Test oracle: the weighted sum by np.dot, whose summation order is the
-    BLAS kernel's, and the tail estimate from np.abs of every node."""
+    BLAS kernel's, and the tail estimate from the exact modulus of every
+    node (np.abs is not correctly rounded)."""
     np = pytest.importorskip("numpy")
     T, h = spec.half_height, spec.step
+    moduli = [_exact_modulus(v) for v in vals]
     vals = np.array(vals, dtype=complex)
     weights = np.full(len(vals), h)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     total = complex(np.dot(weights, vals)) / (2.0 * math.pi)
     return ContourResult(value=total.real, imag_magnitude=abs(total.imag),
-                         tail_estimate=_numpy_tail_estimate(np.abs(vals), T, h),
+                         tail_estimate=_numpy_tail_estimate(moduli, T, h),
                          nodes=len(vals))
 
 
@@ -841,6 +875,17 @@ def test_trapezoid_sum_is_exact_and_nodes_unchanged(monkeypatch, family, z, spec
     assert res.nodes == old.nodes
 
 
+def test_tail_estimate_reads_correctly_rounded_moduli():
+    # the modulus of v is one ulp off when taken as abs(v) with glibc's
+    # hypot, and the estimate changes with it
+    v = complex(-0.5316074023704058, -0.166318737552706)
+    vals = [1j] * 1601
+    vals[0] = vals[-1] = v
+    vals[100] = vals[-101] = complex(-0.9632148047408117, -0.49895621265811796)
+    assert regsing.mellin._tail_estimate(vals, 40.0, 0.05) == \
+        _numpy_tail_estimate([_exact_modulus(x) for x in vals], 40.0, 0.05)
+
+
 @pytest.mark.parametrize("spec", CONTOUR_SPECS, ids=["default", "finer"])
 @pytest.mark.parametrize("z", [0.25, 0.5])
 def test_trapezoid_hits_the_2f1_pole_at_the_same_node(monkeypatch, z, spec):
@@ -858,3 +903,211 @@ def test_trapezoid_hits_the_2f1_pole_at_the_same_node(monkeypatch, z, spec):
     with pytest.raises(PoleError) as exc:
         contour_eval(family, z, spec, full_output=True)
     assert (seen[-1], str(exc.value)) == expect
+
+
+# ------------------- gamma forms from the term ratio vs the hand-written ones
+
+def _sign_pow(v):
+    return cmath.exp(1j * math.pi * complex(v))
+
+
+def _closed_form_power(family, v):
+    """Test oracle: A^v(seed) at non-integer v from the per-family gamma
+    closed forms (the route the term-ratio gamma form replaced)."""
+    tag = family.tag
+    v = complex(v)
+    if tag == "Exp":
+        return PowerData(_sign_pow(v) * _recip_gamma(1 + v), v)
+    if tag == "TrigHyp":
+        omega = complex(family.param("omega"))
+        variant = family.param("variant")
+        shift = 1 if variant in ("cos", "cosh") else 2
+        coeff = omega ** (2 * v) * _recip_gamma(shift + 2 * v)
+        if variant in ("cosh", "sinh"):
+            coeff *= _sign_pow(v)
+        return PowerData(coeff, 2 * v)
+    if tag == "BesselRegular":
+        nu = complex(family.param("nu"))
+        coeff = (4.0 ** -v * complex_gamma(1 + nu)
+                 * _recip_gamma(1 + v) * _recip_gamma(1 + nu + v))
+        return PowerData(coeff, 2 * v)
+    if tag == "BesselIrregular":
+        nu = complex(family.param("nu"))
+        coeff = (-1 / (2 * nu) * 4.0 ** -v * complex_gamma(1 - nu)
+                 * _recip_gamma(1 + v) * _recip_gamma(1 - nu + v))
+        return PowerData(coeff, 2 * v - 2 * nu)
+    if tag in ("Hyp1F1Regular", "Hyp1F1Irregular"):
+        a, c = (complex(x) for x in _hyp_params(family))
+        coeff = (_sign_pow(v) * complex_gamma(a + v) * complex_gamma(c)
+                 * _recip_gamma(a) * _recip_gamma(1 + v)
+                 * _recip_gamma(c + v))
+        return PowerData(coeff, v)
+    if tag in ("Hyp2F1Regular", "Hyp2F1Irregular"):
+        a, b, c = (complex(x) for x in _hyp_params(family))
+        coeff = (_sign_pow(v)
+                 * complex_gamma(a + v) * complex_gamma(b + v)
+                 * complex_gamma(c) * _recip_gamma(a) * _recip_gamma(b)
+                 * _recip_gamma(1 + v) * _recip_gamma(c + v))
+        return PowerData(coeff, v)
+    if tag == "Struve":
+        nu = complex(family.param("nu"))
+        coeff = (4.0 ** -v / (2 * nu + 1)
+                 * complex_gamma(1.5) * complex_gamma(1.5 + nu)
+                 * _recip_gamma(1.5 + v) * _recip_gamma(1.5 + nu + v))
+        return PowerData(coeff, 2 * v + 1)
+    raise AssertionError(tag)
+
+
+def _closed_form_integrand(family, s, z, branch="principal"):
+    """Test oracle: the per-family line integrands, both branches (the route
+    the term-ratio integrand replaced)."""
+    s = complex(s)
+    zf = float(z)
+    pi_hat = math.pi if branch == "principal" else -math.pi
+    tag = family.tag
+    if tag == "Exp":
+        return complex_gamma(s) * cmath.exp(-s * complex(math.log(zf), pi_hat))
+    if tag == "TrigHyp":
+        omega = float(family.param("omega"))
+        variant = family.param("variant")
+        core = complex_gamma(s) * complex_gamma(1 - s)
+        arg = cmath.exp(-2 * s * math.log(omega * zf))
+        if variant in ("cos", "cosh"):
+            val = core * _recip_gamma(1 - 2 * s) * arg
+        else:
+            val = core * _recip_gamma(2 - 2 * s) * arg * zf
+        if variant in ("cosh", "sinh"):
+            val *= cmath.exp(complex(0, -pi_hat) * s)
+        return val
+    if tag == "BesselRegular":
+        nu = float(family.param("nu"))
+        return (complex_gamma(s) * complex_gamma(1 + nu)
+                * _recip_gamma(1 + nu - s)
+                * cmath.exp(-2 * s * math.log(zf / 2)))
+    if tag == "BesselIrregular":
+        nu = float(family.param("nu"))
+        return (-1 / (2 * nu) * complex_gamma(s) * complex_gamma(1 - nu)
+                * _recip_gamma(1 - nu - s)
+                * cmath.exp(-2 * s * math.log(zf / 2)) * zf ** (-2 * nu))
+    if tag == "BesselLogSecond":
+        data = fractional_power_coeff(family, -s)
+        return (complex_gamma(s) * complex_gamma(1 - s)
+                * evaluate_power(data, zf))
+    if tag in ("Hyp1F1Regular", "Hyp1F1Irregular"):
+        a, c = (complex(x) for x in _hyp_params(family))
+        return (complex_gamma(c) * _recip_gamma(a)
+                * complex_gamma(s) * complex_gamma(a - s)
+                * _recip_gamma(c - s)
+                * cmath.exp(-s * complex(math.log(zf), pi_hat)))
+    if tag in ("Hyp2F1Regular", "Hyp2F1Irregular"):
+        a, b, c = (complex(x) for x in _hyp_params(family))
+        return (complex_gamma(c) * _recip_gamma(a) * _recip_gamma(b)
+                * complex_gamma(s) * complex_gamma(a - s)
+                * complex_gamma(b - s) * _recip_gamma(c - s)
+                * cmath.exp(-s * complex(math.log(zf), pi_hat)))
+    if tag == "Struve":
+        nu = float(family.param("nu"))
+        return (complex_gamma(s) * complex_gamma(1 - s)
+                * cmath.exp((1 + nu - 2 * s) * math.log(zf / 2))
+                * _recip_gamma(1.5 + nu - s) * _recip_gamma(1.5 - s))
+    raise AssertionError(tag)
+
+
+def _non_integer_powers(rng, count):
+    """Re v in (0, 4) away from the integers; real for the first third,
+    |Im v| <= 3 for the rest."""
+    out = []
+    for j in range(count):
+        re = rng.randrange(4) + rng.uniform(0.05, 0.95)
+        out.append(complex(re, 0.0 if j < count // 3 else rng.uniform(-3, 3)))
+    return out
+
+
+@pytest.mark.parametrize("family", [f for f in ORACLE_FAMILIES if f.tag != "BesselLogSecond"],
+                         ids=lambda f: repr(f)[:48])
+def test_derived_powers_match_the_closed_gamma_forms(family):
+    rng = random.Random(repr(family))
+    for v in _non_integer_powers(rng, 30):
+        got, want = fractional_power_coeff(family, v), _closed_form_power(family, v)
+        assert abs(got.coefficient - want.coefficient) <= 1e-13 * abs(want.coefficient)
+        assert abs(got.exponent - want.exponent) <= 1e-13 * abs(want.exponent)
+        assert got.log_coefficient == 0
+    # at v = 1/2 too, given as a Fraction
+    got, want = fractional_power_coeff(family, Fr(1, 2)), _closed_form_power(family, 0.5)
+    assert abs(got.coefficient - want.coefficient) <= 1e-13 * abs(want.coefficient)
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=lambda f: repr(f)[:48])
+def test_derived_integrands_match_the_closed_forms(family):
+    rng = random.Random(repr(family))
+    for _ in range(30):
+        s = complex(rng.uniform(0.02, 0.98), rng.uniform(-40, 40))
+        z = rng.uniform(0.02, 0.98)
+        for branch in ("principal", "lower"):
+            got = mellin_integrand(family, s, z, branch=branch)
+            want = _closed_form_integrand(family, s, z, branch=branch)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("family", [
+    catalog_family("Exp"),
+    catalog_family("TrigHyp", variant="cos", omega=Fr(2)),
+    catalog_family("TrigHyp", variant="sinh", omega=Fr(1)),
+    catalog_family("BesselRegular", nu=Fr(1, 3)),
+    catalog_family("BesselIrregular", nu=Fr(1, 3)),
+    catalog_family("Hyp1F1Irregular", a=Fr(2, 3), c=Fr(7, 5)),
+    catalog_family("Hyp2F1Regular", a=Fr(1, 2), b=Fr(1, 3), c=Fr(5, 4)),
+], ids=lambda f: repr(f)[:48])
+def test_integrand_is_finite_where_gamma_one_minus_s_cancels(family):
+    # a bottom b = 1 cancels the poles of Gamma(1 - s) at s = 1, 2, ...:
+    # the integrand takes its limit there, not a PoleError or 0
+    for k in (1, 2, 3):
+        at = mellin_integrand(family, k, 0.4)
+        near = mellin_integrand(family, complex(k, 1e-7), 0.4)
+        assert abs(at - near) <= 1e-5 * abs(near)
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=lambda f: repr(f)[:48])
+def test_lower_branch_is_the_conjugate_of_the_principal(family):
+    rng = random.Random(repr(family))
+    for _ in range(20):
+        s = complex(rng.uniform(0.02, 0.98), rng.uniform(-40, 40))
+        z = rng.uniform(0.02, 0.98)
+        lower = mellin_integrand(family, s, z, branch="lower")
+        assert lower == mellin_integrand(family, s.conjugate(), z).conjugate()
+
+
+def test_gamma_form_is_built_once_per_family(monkeypatch):
+    built = []
+    real = regsing.mellin._gamma_form
+    monkeypatch.setattr(regsing.mellin, "_gamma_form",
+                        lambda fam: built.append(fam) or real(fam))
+    fam = catalog_family("Hyp2F1Regular", a=Fr(1, 3), b=Fr(2, 3), c=Fr(3, 2))
+    contour_eval(fam, 0.25, full_output=True)
+    fractional_power_coeff(fam, complex(0.5, 1.0))
+    mellin_integrand(fam, complex(0.5, 1.0), 0.5, branch="lower")
+    assert built == [fam]
+    # an equal family is a new record with its own form
+    twin = catalog_family("Hyp2F1Regular", a=Fr(1, 3), b=Fr(2, 3), c=Fr(3, 2))
+    mellin_integrand(twin, complex(0.5, 1.0), 0.5)
+    assert len(built) == 2
+
+
+# ------------------------------------------ the shared equation builder
+
+@pytest.mark.parametrize("order", [12, 40])
+@pytest.mark.parametrize("flags", [fl for fl in COMPARE_CASES if fl[1] != "exp"],
+                         ids=lambda fl: "-".join(fl[1::2]))
+def test_family_problem_solve_equals_the_family_operator_neumann_sum(flags, order):
+    args = regsing.cli.build_parser().parse_args(["compare"] + flags)
+    family = regsing.cli._family_from_args(args)
+    sol = solve(*_family_problem(family, order))
+    seed, apply_one = family_operator(family, order)
+    f, _ = _neumann(apply_one, seed, order)
+    assert sol.f.coeffs == f.coeffs
+    assert (sol.f.sigma, sol.f.order) == (f.sigma, f.order)
+
+
+def test_exp_has_no_equation():
+    with pytest.raises(ParameterError, match="no equation"):
+        _family_problem(catalog_family("Exp"), 12)

@@ -68,9 +68,10 @@ def test_resolvent_bessel_leading_terms():
 
 # ------------------------------------------- resolvent vs the Neumann loop
 
-def _neumann(spec, g, order):
+def _neumann(apply, g, order):
     """Test oracle: the Neumann loop the solver used to run, summing
-    f = sum_j (-A)^j g term by term; returns (f, applications of A)."""
+    f = sum_j (-A)^j g term by term, with A the callable `apply`; returns
+    (f, applications of A)."""
     n = min(order, g.order)
     total = truncate(g, n)
     term = total
@@ -79,7 +80,7 @@ def _neumann(spec, g, order):
     for _ in range(n):
         if term.is_zero():
             break
-        term = apply_A(spec, term)
+        term = apply(term)
         term = LogSeries(term.sigma, term.order, {mk: -c for mk, c in term.coeffs.items()})
         used += 1
         if term.is_zero() or min(term.sigma + m for m, _ in term.coeffs) > horizon:
@@ -90,7 +91,8 @@ def _neumann(spec, g, order):
 
 def _oracle_solve(problem, root, c0, c1, order):
     spec = transform(problem, root)
-    return _neumann(spec, _driving_term(problem, spec, c0, c1, order), order)
+    return _neumann(lambda f: apply_A(spec, f),
+                    _driving_term(problem, spec, c0, c1, order), order)
 
 
 def _trig(q0):
