@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import Scalar, as_int, is_exact
+from .scalars import Scalar, as_int, mode as scalar_mode
 
 
 class NonIntegerExponentGap(ValueError):
@@ -72,9 +72,7 @@ class LogSeries:
 
     @property
     def mode(self) -> str:
-        if is_exact(self.sigma) and all(is_exact(c) for c in self.coeffs.values()):
-            return "exact"
-        return "float"
+        return scalar_mode(self.sigma, *self.coeffs.values())
 
     def coefficient(self, m: int, k: int = 0) -> Scalar:
         return self.coeffs.get((m, k), 0)

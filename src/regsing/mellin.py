@@ -173,6 +173,12 @@ class CatalogFamily:
         computed on first read and kept: the contour reads it at each node."""
         return _gamma_form(self)
 
+    @cached_property
+    def struve_prefactor(self) -> float:
+        """catalog.struve_prefactor of the Struve family's nu, computed on
+        first read and kept: the contour multiplies it in at each node."""
+        return struve_prefactor(float(self.param("nu")))
+
 
 def _nonpositive_int_param(x) -> bool:
     n = as_int(x)
@@ -474,7 +480,7 @@ def family_target_factor(family: CatalogFamily, z: float) -> float:
         return float(z)
     if family.tag == "Struve":
         nu = float(family.param("nu"))
-        return struve_prefactor(nu) * float(z) ** nu
+        return family.struve_prefactor * float(z) ** nu
     return 1.0
 
 
@@ -532,6 +538,8 @@ def mellin_integrand(family: CatalogFamily, s: complex, z: float,
         raise ValueError("branch must be 'principal' or 'lower'")
     s = complex(s)
     zf = float(z)
+    if zf <= 0:
+        raise ValueError("z must be positive")
     if family.tag == "BesselLogSecond":
         data = fractional_power_coeff(family, -s)
         return complex_gamma(s) * complex_gamma(1 - s) * evaluate_power(data, zf)

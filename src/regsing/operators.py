@@ -5,10 +5,9 @@ integro-differential operator A.
     A f = L( sum_i C_i z^i f' + sum_i D_i z^{i-1} f [- z f''] )
 
 L is a right inverse of f -> f'' + (alpha/z) f', so the transformed equation
-becomes (1 + A) f = L(z^-lambda F) + f0 (two_point; the three_point scaling
-is z^-lambda-1 F).  L and the float form of A are composed from the series
-primitives, so the log bookkeeping of the resonant cases is inherited rather
-than special-cased:
+of the problem module becomes (1 + A) f = L(z^{w-2-lambda} F) + f0.  L and
+the float form of A are composed from the series primitives, so the log
+bookkeeping of the resonant cases is inherited rather than special-cased:
 
     L z^p            = z^{p+2} / ((p+2)(alpha+p+1))      generic
     L z^{-2}         = log(z) / (alpha-1)                (alpha != 1)
@@ -19,7 +18,7 @@ than special-cased:
 
 Closed-form image of one monomial.  Write the integrand as slots,
 slot i = z^{i-1} (a2_i z^2 f'' + a1_i z f' + a0_i f) with a1_i = C_i,
-a0_i = D_i and a2_0 = -1 for three_point (0 otherwise).  For
+a0_i = D_i and a2_0 = -1 with the -z f'' term (0 otherwise).  For
 f = z^s log^k z, slot i is z^{s-1+i} times the log vector
 
     log^k     a2_i s(s-1) + C_i s + D_i

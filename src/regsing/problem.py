@@ -1,4 +1,5 @@
-"""Input ODE model, indicial roots, and the transformed-equation data.
+"""Input ODE model, its normal form, indicial roots, and the
+transformed-equation data.
 
 Two shapes of equation around the regular singular point z = 0:
 
@@ -8,16 +9,31 @@ Two shapes of equation around the regular singular point z = 0:
                with p = z * sum_{i>=-1} p_i z^i, q = z * sum_{i>=-2} q_i z^i
                (regular singularities at 0, 1 and infinity)
 
-Substituting psi = z^lambda f with lambda an indicial root
-(lambda^2 + (p_{-1}-1) lambda + q_{-2} = 0, identical for both shapes)
-and normalizing the leading part to f'' + (alpha/z) f' leaves
+Both have one normal form (OdeProblem.slots): the equation times z^w, with
+the weight w = 2 for two_point and 1 for three_point, is
 
-  f'' + (alpha/z) f' + sum_i C_i z^i f' + sum_i D_i z^{i-1} f
-      [- z f''  for three_point]  = z^{-lambda} F   (two_point)
-                                  = z^{-lambda-1} F (three_point)
+  sum_o z^o (a2_o z^2 psi'' + a1_o z psi' + a0_o psi) = z^w F
 
-with alpha = 2 lambda + p_{-1}.  OperatorSpec carries (alpha, C, D, lambda);
-note the D_i sit one power of z lower than their index.
+with psi'' at slot 0, -psi'' at slot 1 for three_point, p_i at slot i + 1
+(a1) and q_i at slot i + 2 (a0).  Slot 0 is the Euler part
+z^2 psi'' + p_{-1} z psi' + q_{-2} psi.  Only OdeProblem reads the kind;
+everything downstream reads the slots and the weight.
+
+Substituting psi = z^lambda f conjugates each slot by z^lambda:
+
+  a2 -> a2,   a1 -> a1 + 2 lambda a2,   a0 -> a0 + lambda a1 + lambda(lambda-1) a2.
+
+At an indicial root (lambda^2 + (p_{-1}-1) lambda + q_{-2} = 0) slot 0
+becomes z^2 f'' + alpha z f' with alpha = 2 lambda + p_{-1}, and dividing
+by z^{lambda+2} leaves
+
+  f'' + (alpha/z) f' + sum_i C_i z^i f' + sum_i D_i z^{i-1} f [- z f'']
+      = z^{w-2-lambda} F
+
+where C_{o-1} and D_{o-1} are the conjugated a1 and a0 of slot o >= 1, and
+the -z f'' term is the a2 of slot 1.  OperatorSpec carries
+(alpha, C, D, lambda); note the D_i sit one power of z lower than their
+index.
 """
 
 from __future__ import annotations
@@ -28,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .logseries import LogSeries, integer_slots
-from .scalars import Scalar, as_int, is_exact
+from .scalars import Scalar, as_int, is_exact, mode as scalar_mode
 
 
 class ComplexRootsUnsupported(ValueError):
@@ -61,11 +77,28 @@ class OdeProblem:
 
     @property
     def mode(self) -> str:
-        vals = list(self.p_coeffs.values()) + list(self.q_coeffs.values())
-        exact = all(is_exact(v) for v in vals)
-        if self.rhs is not None:
-            exact = exact and self.rhs.mode == "exact"
-        return "exact" if exact else "float"
+        rhs = () if self.rhs is None else (self.rhs.sigma, *self.rhs.coeffs.values())
+        return scalar_mode(*self.p_coeffs.values(), *self.q_coeffs.values(), *rhs)
+
+    @property
+    def weight(self) -> int:
+        """The power of z that takes the equation to its normal form."""
+        return 2 if self.kind == "two_point" else 1
+
+    @cached_property
+    def slots(self) -> tuple[tuple[int, Scalar, Scalar, Scalar], ...]:
+        """The normal form of the module docstring: the nonzero slots
+        (o, a2, a1, a0), ascending in o."""
+        slots = {0: [1, 0, 0]}
+        if self.kind == "three_point":
+            slots[1] = [-1, 0, 0]
+        for i, c in self.p_coeffs.items():
+            if c != 0:
+                slots.setdefault(i + 1, [0, 0, 0])[1] = c
+        for i, c in self.q_coeffs.items():
+            if c != 0:
+                slots.setdefault(i + 2, [0, 0, 0])[2] = c
+        return tuple((o, *slots[o]) for o in sorted(slots))
 
 
 @dataclass(frozen=True)
@@ -144,8 +177,7 @@ class OperatorSpec:
     def mode(self) -> str:
         """'exact' when alpha, lambda and every C_i, D_i are exact; decided
         once per spec."""
-        vals = (self.alpha, self.lam) + self.c_coeffs + self.d_coeffs
-        return "exact" if all(is_exact(v) for v in vals) else "float"
+        return scalar_mode(self.alpha, self.lam, *self.c_coeffs, *self.d_coeffs)
 
     @cached_property
     def c_terms(self) -> tuple[tuple[int, Scalar], ...]:
@@ -172,39 +204,34 @@ class OperatorSpec:
 
 
 def transform(problem: OdeProblem, root_choice: int) -> OperatorSpec:
-    """OperatorSpec for the chosen indicial root (1 = larger, 2 = smaller).
-
-    two_point:    C_i = p_i,            D_i = lam p_i + q_{i-1}
-    three_point:  C_0 = p_0 - 2 lam,    D_0 = lam(1-lam) + lam p_0 + q_{-1},
-                  C_i = p_i (i >= 1),   D_i = lam p_i + q_{i-1} (i >= 1),
-                  plus the -z f'' term.
+    """OperatorSpec for the chosen indicial root (1 = larger, 2 = smaller):
+    each slot o >= 1 of the normal form, conjugated by z^lambda, gives
+    C_{o-1} = a1 + 2 lam a2 and D_{o-1} = a0 + lam a1 + lam(lam-1) a2, and
+    a nonzero a2 there the -z f'' term (module docstring).
     """
     if root_choice not in (1, 2):
         raise ValueError("root_choice must be 1 or 2")
     idx = indicial(problem)
     lam = idx.lam1 if root_choice == 1 else idx.lam2
     n = problem.series_cutoff
-    # every supplied coefficient must land inside the C/D windows
-    if any(i > n and v != 0 for i, v in problem.p_coeffs.items()) or \
-       any(i > n - 1 and v != 0 for i, v in problem.q_coeffs.items()):
+    # every slot must land inside the C/D windows: p_i with i <= N, q_i with i < N
+    if problem.slots[-1][0] > n + 1:
         raise ValueError("series_cutoff too small for the given p/q coefficients")
-    three = problem.kind == "three_point"
-    cs = []
-    ds = []
-    for i in range(n + 1):
-        c = problem.p(i)
-        d = lam * problem.p(i) + problem.q(i - 1)
-        if three and i == 0:
-            c = c - 2 * lam
-            d = d + lam * (1 - lam)
-        cs.append(c)
-        ds.append(d)
+    # slot 0, the Euler part, always leads and becomes alpha
+    rest = problem.slots[1:]
+    cs = [0] * (n + 1)
+    ds = [0] * (n + 1)
+    for o, a2, a1, a0 in rest:
+        c, d = a1, a0 + lam * a1
+        if a2:     # else C keeps a1 as given, exact even at a float lambda
+            c, d = c + 2 * lam * a2, d + lam * (lam - 1) * a2
+        cs[o - 1], ds[o - 1] = c, d
     return OperatorSpec(
         alpha=idx.alpha_for(lam),
         lam=lam,
         c_coeffs=tuple(cs),
         d_coeffs=tuple(ds),
-        has_z_d2_term=three,
+        has_z_d2_term=any(a2 for _o, a2, _a1, _a0 in rest),
     )
 
 

@@ -39,7 +39,3 @@ def as_int(x: Scalar) -> int | None:
     if isinstance(x, float):
         return int(x) if x.is_integer() else None
     return None
-
-
-def is_zero(x: Scalar) -> bool:
-    return x == 0

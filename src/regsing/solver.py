@@ -1,9 +1,9 @@
 """Resolvent solves, the logarithmic second solution, residual and
 contraction diagnostics.
 
-The transformed equation is (1 + A) f = g with g = L(z^-lambda F) + f0
-(three_point: z^-lambda-1 F).  The paper sums the Neumann series
-f = sum_j (-A)^j g.  A raises the minimal power by at least 1, so on the
+The transformed equation is (1 + A) f = g with g = L(z^{w-2-lambda} F) + f0,
+w the weight of the problem's normal form (problem module).  The paper sums
+the Neumann series f = sum_j (-A)^j g.  A raises the minimal power by at least 1, so on the
 truncated grid of coefficients f[m,k] (exponent sigma + m, log power k,
 m = 0..N) the operator 1 + A is unit lower-triangular in m: the image of
 z^{sigma+m} log^k z has no term below row m + 1.  Forward substitution
@@ -22,21 +22,20 @@ the one application that finds nothing more below the horizon, capped at N
 would have applied A to.
 
 The residual check substitutes psi = z^lambda f back into the original
-equation.  Written as z^-2 (two_point) or z^-1 (three_point) times
-sum_o z^o (a2_o z^2 psi'' + a1_o z psi' + a0_o psi), the equation has
-psi'' at slot 0 (and -psi'' at slot 1 for three_point), p_i at slot i + 1
-and q_i at slot i + 2.  In exact mode each monomial c z^s log^k z of psi
-meets each slot in closed form (logseries.euler_image, small integers) and
-c is multiplied in once per output term, so R is accumulated term by term
-without building psi', psi'' or any product series.  It reads p and q
-directly, never transform or A, and so stays an independent check.  Float
-mode keeps the composition from the series primitives.
+equation, read from the slots of its normal form (OdeProblem.slots) and
+divided by z^w.  In exact mode each monomial c z^s log^k z of psi meets
+each slot in closed form (logseries.euler_image, small integers) and c is
+multiplied in once per output term, so R is accumulated term by term
+without building psi', psi'' or any product series.  It never calls
+transform or A, so it checks the solve; transform reads the same slots, and
+the tests hold both against the per-kind formulas they replaced.  Float mode
+keeps the composition from the series primitives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -129,13 +128,12 @@ def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[L
 
 def _driving_term(problem: OdeProblem, spec: OperatorSpec, c0: Scalar, c1: Scalar,
                   n: int) -> LogSeries:
-    """g = f0 + L(z^-lambda F) (three_point: z^-lambda-1 F)."""
+    """g = f0 + L(z^{w-2-lambda} F), w = problem.weight."""
     g = None
     if c0 != 0 or c1 != 0:
         g = make_f0(spec, c0, c1, order=n)
     if problem.rhs is not None and not problem.rhs.is_zero():
-        shift = -spec.lam - (1 if problem.kind == "three_point" else 0)
-        part = apply_L(spec, shift_exponent(problem.rhs, shift))
+        part = apply_L(spec, shift_exponent(problem.rhs, problem.weight - 2 - spec.lam))
         g = part if g is None else linear_combine(1, g, 1, part)
     return LogSeries.zero(n) if g is None else g
 
@@ -145,8 +143,8 @@ def solve(problem: OdeProblem, root_choice: int, c0: Scalar, c1: Scalar,
     """Truncated solution psi = z^lambda f for the chosen indicial root.
 
     c0 and c1 seed the complementary solution through f0; a problem rhs
-    contributes the particular part L(z^-lambda F) (three_point:
-    z^-lambda-1 F).  Superposition holds exactly in rational mode.
+    contributes the particular part L(z^{w-2-lambda} F).  Superposition
+    holds exactly in rational mode.
 
     Exact mode gives the Neumann sum f = sum_j (-A)^j g bit for bit.  In
     float mode the resolvent adds the contributions to a coefficient in
@@ -166,10 +164,10 @@ def solve(problem: OdeProblem, root_choice: int, c0: Scalar, c1: Scalar,
     psi = shift_exponent(f, spec.lam)
     sol = Solution(lam=spec.lam, f=f, psi=psi, iterations_used=used,
                    residual_leading_order=None, mode=psi.mode)
-    rel = _relative_residual_order(problem, sol)
-    return Solution(lam=sol.lam, f=sol.f, psi=sol.psi,
-                    iterations_used=sol.iterations_used,
-                    residual_leading_order=rel, mode=sol.mode)
+    lead = residual(problem, sol)
+    if lead is None:
+        return sol
+    return replace(sol, residual_leading_order=as_int(lead - sol.lam - f.sigma))
 
 
 def residual(problem: OdeProblem, sol: Solution) -> Scalar | None:
@@ -178,10 +176,10 @@ def residual(problem: OdeProblem, sol: Solution) -> Scalar | None:
     substitution vanishes identically on the visible grid (terminating
     solutions).  Success contract: at least lambda + N - 1.
 
-    Exact solutions are substituted monomial by monomial, straight from p
-    and q (_substitute_exact); float ones through the series primitives
-    (_substitute_composed).  Neither goes through transform or A, so the
-    residual stays an independent check of the solve.
+    Exact solutions are substituted monomial by monomial, straight from the
+    normal form (_substitute_exact); float ones through the series
+    primitives (_substitute_composed).  Neither goes through transform or
+    A, so the residual stays a check of the solve.
     """
     exact = (problem.mode == "exact" and is_exact(sol.lam)
              and sol.f.mode == "exact")
@@ -197,29 +195,11 @@ def residual(problem: OdeProblem, sol: Solution) -> Scalar | None:
     return min(nonzero) if nonzero else None
 
 
-def _pq_terms(problem: OdeProblem):
-    """Nonzero (i, p_i) with i <= N and (i, q_i) with i < N, ascending: the
-    terms of p and q that reach R."""
-    n = problem.series_cutoff
-    return ([(i, c) for i, c in sorted(problem.p_coeffs.items()) if c != 0 and i <= n],
-            [(i, c) for i, c in sorted(problem.q_coeffs.items()) if c != 0 and i < n])
-
-
 def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
     """The left-hand side at psi, as _substitute_composed builds it: each
-    monomial c z^s log^k z of psi meets every slot of the equation in small
-    integers (euler_image), then one Fraction per output term, times c."""
-    three = problem.kind == "three_point"
-    # slot o: [a2, a1, a0], the slots of the module docstring
-    slots = {0: [1, 0, 0]}
-    if three:
-        slots[1] = [-1, 0, 0]
-    p_terms, q_terms = _pq_terms(problem)
-    for i, c in p_terms:
-        slots.setdefault(i + 1, [0, 0, 0])[1] += c
-    for i, c in q_terms:
-        slots.setdefault(i + 2, [0, 0, 0])[2] += c
-    den, ordered = integer_slots([(o, *slots[o]) for o in sorted(slots)])
+    monomial c z^s log^k z of psi meets every slot of the normal form in
+    small integers (euler_image), then one Fraction per output term, times c."""
+    den, slots = integer_slots(problem.slots)
     f = sol.f
     horizon = f.order + problem.series_cutoff + 3    # as the composed pad
     base = f.sigma + sol.lam                         # psi's base, s = sq/q
@@ -228,52 +208,34 @@ def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
     out: dict[tuple[int, int], Scalar] = {}
     for (m, k), c in f.coeffs.items():
         sq = base.numerator + m * q
-        for o, a2, a1, a0 in ordered:
+        for o, a2, a1, a0 in slots:
             if m + o > horizon:
                 break
             for j, w in enumerate(euler_image(sq, q, k, a2, a1, a0)):
                 if w:
                     key = (m + o, j)
                     out[key] = out.get(key, 0) + c * Fraction(w, d)
-    return LogSeries(base - (1 if three else 2), horizon, out)
+    return LogSeries(base - problem.weight, horizon, out)
 
 
 def _substitute_composed(problem: OdeProblem, sol: Solution) -> LogSeries:
     """The left-hand side of the equation at the truncated psi, composed from
-    series primitives: the float path, and the oracle of _substitute_exact."""
+    series primitives: the float path, and the oracle of _substitute_exact.
+
+    Column j = 0, 1, 2 of the slots, (a2, a1, a0), multiplies psi'', psi'
+    and psi by sum_o a z^o; z^{2-j-w} then brings the product to the scale
+    of the equation.  Slot 0's psi'' sets the horizon of R."""
     pad = problem.series_cutoff + 3
     f = truncate(sol.f, sol.f.order + pad)   # the truncation itself, exactly
     psi = shift_exponent(f, sol.lam)
     d1 = differentiate(psi)
-    d2 = differentiate(d1)
-    # p and q as polynomials in z (p_i at z^{i+1}, q_i at z^{i+2}); the
-    # psi'' term always sets the horizon of R
-    p_terms, q_terms = _pq_terms(problem)
-    p_poly = [(i + 1, c) for i, c in p_terms]
-    q_poly = [(i + 2, c) for i, c in q_terms]
-    if problem.kind == "two_point":
-        # R = psi'' + p psi' + q psi - F, p = sum_{i>=-1} p_i z^i
-        r = d2
-        if p_poly:
-            r = linear_combine(1, r, 1, shift_exponent(mul_poly(d1, p_poly), -1))
-        if q_poly:
-            r = linear_combine(1, r, 1, shift_exponent(mul_poly(psi, q_poly), -2))
-    else:
-        # R = z(1-z) psi'' + p psi' + q psi - F, p = z sum p_i z^i, q = z sum q_i z^i
-        r = mul_poly(d2, [(1, 1), (2, -1)])
-        if p_poly:
-            r = linear_combine(1, r, 1, mul_poly(d1, p_poly))
-        if q_poly:
-            r = linear_combine(1, r, 1, shift_exponent(mul_poly(psi, q_poly), -1))
+    r = None
+    for j, series in enumerate((differentiate(d1), d1, psi)):
+        poly = [(o, a[j]) for o, *a in problem.slots if a[j] != 0]
+        if poly:
+            part = shift_exponent(mul_poly(series, poly), 2 - j - problem.weight)
+            r = part if r is None else linear_combine(1, r, 1, part)
     return r
-
-
-def _relative_residual_order(problem: OdeProblem, sol: Solution) -> int | None:
-    lead = residual(problem, sol)
-    if lead is None:
-        return None
-    rel = as_int(lead - sol.lam - sol.f.sigma)
-    return rel
 
 
 def log_second_recurrence(n: int):
@@ -315,11 +277,7 @@ def solve_log_second(problem: OdeProblem, n: int, order: int | None = None) -> S
         raise ValueError(f"expected gap 2n = {2 * n}, problem has {gap}")
     N = problem.series_cutoff if order is None else order
     sol = solve(problem, 1, 0, 1, order=N)
-    return Solution(lam=sol.lam, f=sol.f, psi=sol.psi,
-                    iterations_used=sol.iterations_used,
-                    residual_leading_order=sol.residual_leading_order,
-                    mode=sol.mode,
-                    _log_stream_args=(n, max(0, (N - 2 * n) // 2)))
+    return replace(sol, _log_stream_args=(n, max(0, (N - 2 * n) // 2)))
 
 
 def contraction_report(spec: OperatorSpec, z0: float) -> float:

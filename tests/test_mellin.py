@@ -436,6 +436,35 @@ def test_numeric_residues_of_every_family_match_series_terms():
             assert abs(got - expect) < 1e-9 * max(1.0, abs(expect))
 
 
+def test_integrand_rejects_nonpositive_z():
+    for fam in ALL_FAMILIES:
+        for z in (0.0, -0.5):
+            with pytest.raises(ValueError, match="z must be positive"):
+                mellin_integrand(fam, complex(0.5, 1.0), z)
+
+
+def test_struve_prefactor_is_computed_once_per_family(monkeypatch):
+    calls = []
+    real = regsing.catalog.struve_prefactor
+
+    def counted(nu):
+        calls.append(nu)
+        return real(nu)
+
+    monkeypatch.setattr(regsing.mellin, "struve_prefactor", counted)
+    family = catalog_family("Struve", nu=Fr(1, 3))
+    assert contour_eval(family, 0.5, full_output=True).nodes == 1601
+    assert calls == [1 / 3]
+    residue_eval(family, 0.25)
+    contour_eval(family, 0.25, full_output=True)
+    assert calls == [1 / 3]
+    # the product is the one each node used to form
+    for z in (0.1, 0.5, 0.9):
+        assert family_target_factor(family, z) == real(1 / 3) * z ** (1 / 3)
+    contour_eval(catalog_family("Struve", nu=Fr(1)), 0.5, full_output=True)
+    assert calls == [1 / 3, 1.0]
+
+
 # --------------------------------------------------------------- quadrature
 
 def test_contour_spec_validation():

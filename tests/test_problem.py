@@ -1,14 +1,19 @@
 """Tests for indicial roots and the operator-coefficient transform."""
 
+import ast
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regsing
+from regsing.cli import _to_float_problem
 from regsing.problem import (
     ComplexRootsUnsupported,
     OdeProblem,
+    OperatorSpec,
     indicial,
     map_gegenbauer,
     transform,
@@ -166,6 +171,126 @@ def test_transform_formulas_hold_at_both_roots(p1, p0, q1, q0):
         for i in range(5):
             assert spec.c_coeffs[i] == prob.p(i)
             assert spec.d_coeffs[i] == lam * prob.p(i) + prob.q(i - 1)
+
+
+def _transform_by_kind(problem, root_choice):
+    """Test oracle: transform as it was written per equation kind, before
+    both kinds became one normal form."""
+    idx = indicial(problem)
+    lam = idx.lam1 if root_choice == 1 else idx.lam2
+    three = problem.kind == "three_point"
+    cs = []
+    ds = []
+    for i in range(problem.series_cutoff + 1):
+        c = problem.p(i)
+        d = lam * problem.p(i) + problem.q(i - 1)
+        if three and i == 0:
+            c = c - 2 * lam
+            d = d + lam * (1 - lam)
+        cs.append(c)
+        ds.append(d)
+    return OperatorSpec(alpha=idx.alpha_for(lam), lam=lam, c_coeffs=tuple(cs),
+                        d_coeffs=tuple(ds), has_z_d2_term=three)
+
+
+@st.composite
+def problems_of_both_kinds(draw):
+    """Small rational p_{-1..3} and q_{-2..2} (any roots: rational,
+    irrational or complex), cutoff 3..8, either kind."""
+    p = draw(st.dictionaries(st.integers(-1, 3), small_rationals, max_size=5))
+    q = draw(st.dictionaries(st.integers(-2, 2), small_rationals, max_size=5))
+    kind = draw(st.sampled_from(("two_point", "three_point")))
+    return OdeProblem(kind, p, q, series_cutoff=draw(st.integers(3, 8)))
+
+
+@given(problems_of_both_kinds(), st.booleans())
+@settings(max_examples=150)
+def test_transform_matches_the_per_kind_oracle(problem, floats):
+    if floats:
+        problem = _to_float_problem(problem)
+    try:
+        indicial(problem)
+    except ComplexRootsUnsupported:
+        return
+    for choice in (1, 2):
+        got, want = transform(problem, choice), _transform_by_kind(problem, choice)
+        assert got == want
+        assert (got.c_terms, got.d_terms) == (want.c_terms, want.d_terms)
+
+
+@pytest.mark.parametrize("kind", ["two_point", "three_point"])
+def test_transform_rejects_coefficients_beyond_the_cutoff(kind):
+    # p_i reach C_i and q_i reach D_{i+1}: p_N and q_{N-1} are the last that
+    # fit, and zeros beyond them are ignored
+    n = 4
+    fits = OdeProblem(kind, {-1: Fr(1, 2), n: 1, n + 3: 0}, {n - 1: 1, n + 2: 0},
+                      series_cutoff=n)
+    spec = transform(fits, 1)
+    assert spec.c_coeffs[n] == 1 and spec.d_coeffs[n] == spec.lam + 1
+    for p, q in (({n + 1: 1}, {}), ({}, {n: 1})):
+        with pytest.raises(ValueError, match="series_cutoff too small"):
+            transform(OdeProblem(kind, {-1: Fr(1, 2), **p}, q, series_cutoff=n), 1)
+
+
+# where the equation kind may be read: the problem itself, and the CLI's
+# parsing and dumping of problem files
+KIND_READERS = {
+    "problem.py": {"OdeProblem"},
+    "cli.py": {"parse_problem", "dump_problem", "_to_float_problem"},
+}
+
+
+def _kind_reads(tree, allowed):
+    """Line numbers of every read of a .kind attribute and every comparison
+    with an equation-kind name, outside the classes and functions named in
+    allowed."""
+    kinds = {"two_point", "three_point"}
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name in allowed
+        if not inside:
+            if isinstance(node, ast.Attribute) and node.attr == "kind":
+                found.append(node.lineno)
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(c, ast.Constant) and c.value in kinds
+                    for operand in (node.left, *node.comparators)
+                    for c in ast.walk(operand)):
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return sorted(set(found))
+
+
+def test_only_the_problem_and_the_cli_read_the_kind():
+    # the equation kind is read once, into OdeProblem.slots and weight;
+    # nothing downstream branches on it
+    package = Path(regsing.__file__).resolve().parent
+    reads = {}
+    for path in sorted(package.glob("*.py")):
+        found = _kind_reads(ast.parse(path.read_text()), KIND_READERS.get(path.name, set()))
+        if found:
+            reads[path.name] = found
+    assert reads == {}
+
+
+def test_the_kind_guard_sees_reads_and_comparisons():
+    source = """
+def f(problem):
+    return problem.kind
+def g(kind):
+    return kind in ("two_point",)
+class OdeProblem:
+    def weight(self):
+        return 2 if self.kind == "two_point" else 1
+def parse_problem(doc):
+    return doc["kind"] == "three_point"
+"""
+    assert _kind_reads(ast.parse(source), {"OdeProblem", "parse_problem"}) == [3, 5]
+    assert _kind_reads(ast.parse(source), set()) == [3, 5, 8, 10]
 
 
 # ------------------------------------------------------------- gegenbauer

@@ -1,8 +1,11 @@
 """End-to-end solver tests against the catalog oracles."""
 
+import hashlib
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +27,7 @@ from regsing.logseries import (
     differentiate,
     evaluate,
     linear_combine,
+    mul_poly,
     shift_exponent,
     truncate,
 )
@@ -460,6 +464,45 @@ def test_superposition():
     assert diff.is_zero()
 
 
+def driven_gauss_problem(n, rhs=None):
+    """2F1(1/2, 1/3; 5/4) driven by rhs (default z^{1/3}): the three_point
+    equation z(1-z) psi'' + (c - (a+b+1) z) psi' - ab psi = F."""
+    a, b, c = Fr(1, 2), Fr(1, 3), Fr(5, 4)
+    if rhs is None:
+        rhs = LogSeries.monomial(1, Fr(1, 3), n)
+    return OdeProblem("three_point", {-1: c, 0: -(a + b + 1)}, {-1: -a * b},
+                      rhs=rhs, series_cutoff=n)
+
+
+@pytest.mark.parametrize("root", [1, 2])
+def test_driven_three_point_solve(root):
+    # the particular solution starts at z^{4/3} with coefficient 1/I(4/3),
+    # I(s) = s(s-1) + p_{-1} s + q_{-2} = 19/9: the z^{-lambda-1} F shift
+    N = 30
+    problem = driven_gauss_problem(N)
+    sol = solve(problem, root, 0, 0, order=N)
+    assert sol.mode == "exact"
+    assert min(sol.psi.sigma + m for m, _k in sol.psi.coeffs) == Fr(4, 3)
+    assert sol.psi.coefficient_at(Fr(4, 3)) == 1 / Fr(19, 9) == Fr(9, 19)
+    assert sol.residual_leading_order is None or sol.residual_leading_order >= N - 1
+    # no complementary part rides along: both roots give the same psi
+    assert sol.psi == solve(problem, 3 - root, 0, 0, order=N).psi
+    # superposition in F, exactly
+    extra = LogSeries.monomial(Fr(-2, 5), Fr(7, 3), N)
+    both = solve(driven_gauss_problem(N, linear_combine(1, problem.rhs, 1, extra)),
+                 root, 0, 0, order=N)
+    alone = solve(driven_gauss_problem(N, extra), root, 0, 0, order=N)
+    assert both.psi == linear_combine(1, sol.psi, 1, alone.psi)
+    # float mode within 1e-13 of exact, coefficient by coefficient
+    fl = solve(_to_float_problem(problem), root, 0.0, 0.0, order=N)
+    assert fl.mode == "float"
+    assert abs(fl.psi.sigma - 4 / 3) < 1e-15
+    assert len(fl.psi.coeffs) == len(sol.psi.coeffs)
+    for (m, k), c in sol.psi.coeffs.items():
+        got = fl.psi.coefficient(m, k)
+        assert abs(got - float(c)) <= 1e-13 * abs(float(c)), (m, k)
+
+
 def test_linearity():
     nu = Fr(1, 3)
     one = solve(bessel_problem(nu), 1, 1, 0, order=10)
@@ -529,6 +572,49 @@ def test_residual_kernel_matches_composition_on_random_problems(problem, root, s
     _assert_residual_kernel_matches(problem, _perturbed(sol, key, Fr(1, 7)))
 
 
+def _substitute_composed_by_kind(problem, sol):
+    """Test oracle: the left-hand side at psi as the solver composed it per
+    equation kind, before both kinds became one normal form."""
+    n = problem.series_cutoff
+    p_terms = [(i, c) for i, c in sorted(problem.p_coeffs.items()) if c != 0 and i <= n]
+    q_terms = [(i, c) for i, c in sorted(problem.q_coeffs.items()) if c != 0 and i < n]
+    pad = problem.series_cutoff + 3
+    f = truncate(sol.f, sol.f.order + pad)
+    psi = shift_exponent(f, sol.lam)
+    d1 = differentiate(psi)
+    d2 = differentiate(d1)
+    p_poly = [(i + 1, c) for i, c in p_terms]
+    q_poly = [(i + 2, c) for i, c in q_terms]
+    if problem.kind == "two_point":
+        r = d2
+        if p_poly:
+            r = linear_combine(1, r, 1, shift_exponent(mul_poly(d1, p_poly), -1))
+        if q_poly:
+            r = linear_combine(1, r, 1, shift_exponent(mul_poly(psi, q_poly), -2))
+    else:
+        r = mul_poly(d2, [(1, 1), (2, -1)])
+        if p_poly:
+            r = linear_combine(1, r, 1, mul_poly(d1, p_poly))
+        if q_poly:
+            r = linear_combine(1, r, 1, shift_exponent(mul_poly(psi, q_poly), -1))
+    return r
+
+
+@given(random_problems(), st.sampled_from((1, 2)),
+       st.sampled_from(((1, 0), (0, 1))), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_composed_substitution_matches_the_per_kind_oracle(problem, root, seed, floats):
+    c0, c1 = seed
+    if floats:
+        problem, c0, c1 = _to_float_problem(problem), float(c0), float(c1)
+    sol = solve(problem, root, c0, c1)
+    assert sol.mode == ("float" if floats else "exact")
+    got = regsing.solver._substitute_composed(problem, sol)
+    want = _substitute_composed_by_kind(problem, sol)
+    assert got.coeffs == want.coeffs
+    assert (got.sigma, got.order) == (want.sigma, want.order)
+
+
 @pytest.mark.parametrize("order", [12, 60])
 @pytest.mark.parametrize("case", CATALOG_CASES + [
     ("struve0", lambda n: struve_problem(Fr(0), n), 1, 0, 0),
@@ -591,3 +677,93 @@ def test_contraction_shrinks_with_z0():
     m2 = contraction_report(spec, 0.2)
     m3 = contraction_report(spec, 0.5)
     assert m1 < m2 < m3
+
+
+# ----------------------------------------------------------- fingerprints
+#
+# tests/golden/solve-fingerprints.txt pins the solver's results: per case
+# the id, the sha256 of f (sigma, order and every coefficient, by repr, so
+# floats count bit for bit and a type change counts too), iterations_used
+# and residual_leading_order.  Regenerate it with
+#     PYTHONPATH=src python tests/test_solver.py
+# only when a change of the results is intended.
+
+FINGERPRINTS = Path(__file__).resolve().parent / "golden" / "solve-fingerprints.txt"
+
+
+def _fingerprint_problems(seed=20261018, count=50):
+    """(id, problem, (c0, c1)) for random problems of both kinds: most with
+    rational roots a non-integer apart, every fifth with free p_{-1} and
+    q_{-2} (irrational roots, integer gaps, complex roots), each with one to
+    three more terms in p and in q."""
+    rng = random.Random(seed)
+
+    def coeff():
+        return Fr(rng.choice((1, -1)) * rng.randint(1, 5), rng.choice((1, 2, 3, 7)))
+
+    out = []
+    for i in range(count):
+        if i % 5 == 4:
+            p = {-1: Fr(rng.randint(-6, 6), rng.choice((1, 2, 3)))}
+            q = {-2: Fr(rng.randint(-9, 1), rng.choice((1, 2, 4)))}
+        else:
+            d1, d2 = rng.choice((2, 3, 4)), rng.choice((2, 3, 4))
+            while True:
+                l1, l2 = Fr(rng.randint(-6, 6), d1), Fr(rng.randint(-6, 6), d2)
+                if (l1 - l2).denominator != 1:
+                    break
+            p, q = {-1: 1 - (l1 + l2)}, {-2: l1 * l2}
+        for _ in range(rng.randint(1, 3)):
+            p[rng.randint(0, 3)] = coeff()
+        for _ in range(rng.randint(1, 3)):
+            q[rng.randint(-1, 2)] = coeff()
+        kind = ("two_point", "three_point")[i % 2]
+        problem = OdeProblem(kind, p, q, series_cutoff=rng.randint(4, 40))
+        out.append((f"random{i}", problem, rng.choice(((1, 0), (0, 1)))))
+    return out
+
+
+def _fingerprint_cases():
+    """(id, problem, root, c0, c1, order): the catalog cases at orders 12
+    and 100, the driven three_point case and the random problems, each
+    exact and float."""
+    exact = []
+    for name, build, root, c0, c1 in CATALOG_CASES:
+        for order in (12, 100):
+            exact.append((f"{name}-{order}", build(order), root, c0, c1, order))
+    for root in (1, 2):
+        exact.append((f"driven_hyp2f1-root{root}", driven_gauss_problem(30), root, 0, 0, 30))
+    for name, problem, (c0, c1) in _fingerprint_problems():
+        for root in (1, 2):
+            exact.append((f"{name}-root{root}", problem, root, c0, c1,
+                          problem.series_cutoff))
+    for name, problem, root, c0, c1, order in exact:
+        yield f"{name}-exact", problem, root, c0, c1, order
+        yield (f"{name}-float", _to_float_problem(problem), root,
+               float(c0), float(c1), order)
+
+
+def _fingerprint_line(case_id, problem, root, c0, c1, order):
+    try:
+        sol = solve(problem, root, c0, c1, order=order)
+    except (ArithmeticError, ValueError) as exc:
+        return f"{case_id} raises {type(exc).__name__}"
+    f = sol.f
+    text = repr((f.sigma, f.order, sorted(f.coeffs.items())))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    return f"{case_id} {digest} {sol.iterations_used} {sol.residual_leading_order}"
+
+
+def _fingerprint_lines():
+    return [_fingerprint_line(*case) for case in _fingerprint_cases()]
+
+
+def test_solve_results_match_fingerprints():
+    want = FINGERPRINTS.read_text().splitlines()
+    got = _fingerprint_lines()
+    assert [line.split()[0] for line in got] == [line.split()[0] for line in want]
+    assert [line for line in got if line not in want] == []
+
+
+if __name__ == "__main__":
+    FINGERPRINTS.write_text("\n".join(_fingerprint_lines()) + "\n")
