@@ -311,6 +311,10 @@ def cmd_eval(args) -> int:
         c0, c1 = float(c0), float(c1)
     sol = solve(problem, args.root, c0, c1, order=args.order)
     points = args.z or [0.5]
+    outside = [z for z in points if z >= problem.radius]
+    if outside and sol.residual_leading_order is not None:
+        raise DomainError(f"z = {outside[0]} is outside the disc |z| < "
+                          f"{problem.radius} of a series that does not terminate")
     if args.format == "csv":
         print("z,value")
         for z in points:

@@ -27,7 +27,8 @@ class NonIntegerExponentGap(ValueError):
 
 
 class DomainError(ValueError):
-    """Evaluation point outside the series' real domain (z <= 0)."""
+    """Evaluation point outside the series' domain: z <= 0, or at or beyond
+    its disc of convergence."""
 
 
 def _gap(sigma_f: Scalar, sigma_g: Scalar) -> int | None:

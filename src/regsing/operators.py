@@ -2,7 +2,9 @@
 integro-differential operator A.
 
     L g = int z^-alpha ( int z^alpha g dz ) dz
-    A f = L( sum_i C_i z^i f' + sum_i D_i z^{i-1} f [- z f''] )
+    A f = L( sum_{o>=1} z^{o-2} (a2_o z^2 f'' + a1_o z f' + a0_o f) )
+
+over the conjugated slots (o, a2, a1, a0) of the OperatorSpec.
 
 L is a right inverse of f -> f'' + (alpha/z) f', so the transformed equation
 of the problem module becomes (1 + A) f = L(z^{w-2-lambda} F) + f0.  L and
@@ -16,22 +18,21 @@ bookkeeping of the resonant cases is inherited rather than special-cased:
     L z^m log z      = z^{m+2} (log(z)/((m+2)(alpha+m+1))
                        - (alpha+2m+3)/((m+2)^2 (alpha+m+1)^2))
 
-Closed-form image of one monomial.  Write the integrand as slots,
-slot i = z^{i-1} (a2_i z^2 f'' + a1_i z f' + a0_i f) with a1_i = C_i,
-a0_i = D_i and a2_0 = -1 with the -z f'' term (0 otherwise).  For
-f = z^s log^k z, slot i is z^{s-1+i} times the log vector
+Closed-form image of one monomial.  Index slot o by i = o - 1, so that it
+is z^{i-1} (a2_i z^2 f'' + a1_i z f' + a0_i f).  For f = z^s log^k z,
+slot i is z^{s-1+i} times the log vector
 
-    log^k     a2_i s(s-1) + C_i s + D_i
-    log^{k-1} k (a2_i (2s-1) + C_i)
+    log^k     a2_i s(s-1) + a1_i s + a0_i
+    log^{k-1} k (a2_i (2s-1) + a1_i)
     log^{k-2} a2_i k(k-1)
 
 and L maps z^e log^j z through two integrations, at p + 1 = e + 1 + alpha
 and at p + 1 = e + 2 (by parts; a log power rises where p + 1 = 0).  With no
 logs and no resonance this is
 
-    A z^s = sum_i (C_i s + D_i + a2_i s(s-1)) z^{s+i+1} / ((s+i+alpha)(s+i+1)).
+    A z^s = sum_i (a1_i s + a0_i + a2_i s(s-1)) z^{s+i+1} / ((s+i+alpha)(s+i+1)).
 
-Every factor is a small rational built from s, k, alpha, C_i and D_i.
+Every factor is a small rational built from s, k, alpha and the slots.
 Exact mode evaluates these images in plain integers and multiplies each
 output coefficient by the (large) input coefficient once, so no
 intermediate series is built.  Float mode keeps the composition: its
@@ -109,7 +110,7 @@ def make_f0(spec: OperatorSpec, c0: Scalar, c1: Scalar, order: int = 12) -> LogS
 
 
 def apply_A(spec: OperatorSpec, f: LogSeries) -> LogSeries:
-    """A f = L( C(z) f' + D(z)/z f [- z f''] ).
+    """A f = L( sum_o z^{o-2} (a2_o z^2 f'' + a1_o z f' + a0_o f) ).
 
     Exact f and spec take the closed-form image of each monomial
     (_apply_A_exact); float mode composes the series primitives
@@ -125,7 +126,7 @@ def _apply_A_exact(spec: OperatorSpec, f: LogSeries) -> LogSeries:
     # per monomial and slot: the integrand's log vector at z^{s-1+i}, pushed
     # through L's two integrations in small integers (s = sq/q), then one
     # Fraction per output term, multiplied by c once
-    den, slots = spec.slots
+    den, slots = spec.integer_slots
     sigma, alpha = f.sigma, spec.alpha
     q = math.lcm(sigma.denominator, alpha.denominator)
     sq0 = sigma.numerator * (q // sigma.denominator)
@@ -133,7 +134,8 @@ def _apply_A_exact(spec: OperatorSpec, f: LogSeries) -> LogSeries:
     out: dict[tuple[int, int], Scalar] = {}
     for (m, k), c in f.coeffs.items():
         sq = sq0 + m * q
-        for i, a2, a1, a0 in slots:
+        for o, a2, a1, a0 in slots:
+            i = o - 1
             if m + i > f.order:
                 break
             v = euler_image(sq, q, k, a2, a1, a0)
@@ -151,19 +153,19 @@ def _apply_A_composed(spec: OperatorSpec, f: LogSeries) -> LogSeries:
     """A f composed from series primitives: the float path, and the oracle
     the exact kernel is tested against.
 
-    Only the nonzero C_i and D_i are multiplied in.  The integrand keeps the
-    base exponent and horizon of f', as with the dense polynomials, so the
-    result does not depend on which coefficients vanish.
+    Only the nonzero slot values are multiplied in.  The integrand keeps the
+    base exponent and horizon of f', so the result does not depend on which
+    values vanish.
     """
+    z_d2, c_col, d_col = spec.columns
     df = differentiate(f)
     integrand = LogSeries.zero(f.order, df.sigma)
-    if spec.c_terms:
-        integrand = linear_combine(1, integrand, 1, mul_poly(df, spec.c_terms))
-    if spec.d_terms:
+    if c_col:
+        integrand = linear_combine(1, integrand, 1, mul_poly(df, c_col))
+    if d_col:
         integrand = linear_combine(
-            1, integrand, 1, shift_exponent(mul_poly(f, spec.d_terms), -1))
-    if spec.has_z_d2_term:
+            1, integrand, 1, shift_exponent(mul_poly(f, d_col), -1))
+    if z_d2:
         integrand = linear_combine(
-            1, integrand,
-            1, mul_poly(differentiate(df), [(1, -1)]))
+            1, integrand, 1, shift_exponent(mul_poly(differentiate(df), z_d2), 1))
     return apply_L(spec, integrand)

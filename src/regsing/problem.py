@@ -27,13 +27,11 @@ At an indicial root (lambda^2 + (p_{-1}-1) lambda + q_{-2} = 0) slot 0
 becomes z^2 f'' + alpha z f' with alpha = 2 lambda + p_{-1}, and dividing
 by z^{lambda+2} leaves
 
-  f'' + (alpha/z) f' + sum_i C_i z^i f' + sum_i D_i z^{i-1} f [- z f'']
+  f'' + (alpha/z) f' + sum_{o>=1} z^{o-2} (a2_o z^2 f'' + a1_o z f' + a0_o f)
       = z^{w-2-lambda} F
 
-where C_{o-1} and D_{o-1} are the conjugated a1 and a0 of slot o >= 1, and
-the -z f'' term is the a2 of slot 1.  OperatorSpec carries
-(alpha, C, D, lambda); note the D_i sit one power of z lower than their
-index.
+over the conjugated slots o >= 1.  OperatorSpec carries alpha, lambda and
+those slots, in the (o, a2, a1, a0) layout of OdeProblem.slots.
 """
 
 from __future__ import annotations
@@ -84,6 +82,13 @@ class OdeProblem:
     def weight(self) -> int:
         """The power of z that takes the equation to its normal form."""
         return 2 if self.kind == "two_point" else 1
+
+    @property
+    def radius(self) -> float:
+        """Radius of convergence of a series solution about 0: the distance
+        to the next singular point, z = 1 for three_point (p and q are
+        polynomials, so two_point has none)."""
+        return math.inf if self.weight == 2 else 1
 
     @cached_property
     def slots(self) -> tuple[tuple[int, Scalar, Scalar, Scalar], ...]:
@@ -169,70 +174,49 @@ def root_index(problem: OdeProblem, lam: Scalar) -> int:
 class OperatorSpec:
     alpha: Scalar
     lam: Scalar
-    c_coeffs: tuple[Scalar, ...]    # C_i, i = 0..series_cutoff
-    d_coeffs: tuple[Scalar, ...]    # D_i, i = 0..series_cutoff (sits at z^{i-1})
-    has_z_d2_term: bool
+    slots: tuple[tuple[int, Scalar, Scalar, Scalar], ...]  # conjugated slots o >= 1
 
     @cached_property
     def mode(self) -> str:
-        """'exact' when alpha, lambda and every C_i, D_i are exact; decided
-        once per spec."""
-        return scalar_mode(self.alpha, self.lam, *self.c_coeffs, *self.d_coeffs)
+        """'exact' when alpha, lambda and every slot value are exact;
+        decided once per spec."""
+        return scalar_mode(self.alpha, self.lam,
+                           *(a for _o, *coeffs in self.slots for a in coeffs))
 
     @cached_property
-    def c_terms(self) -> tuple[tuple[int, Scalar], ...]:
-        """Nonzero (i, C_i) pairs, ascending in i: the sparse form of C."""
-        return tuple((i, c) for i, c in enumerate(self.c_coeffs) if c != 0)
+    def integer_slots(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+        """The slots of an exact spec in integers over one denominator."""
+        return integer_slots(self.slots)
 
     @cached_property
-    def d_terms(self) -> tuple[tuple[int, Scalar], ...]:
-        """Nonzero (i, D_i) pairs, ascending in i: the sparse form of D."""
-        return tuple((i, d) for i, d in enumerate(self.d_coeffs) if d != 0)
-
-    @cached_property
-    def slots(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
-        """The non-Euler part sum_i C_i z^i f' + D_i z^{i-1} f [- z f''] of
-        an exact spec as (den, slots): slot (i, a2, a1, a0) is
-        z^{i-1} (a2 z^2 f'' + a1 z f' + a0 f)/den, in integers; nonzero
-        slots only, ascending in i."""
-        slots = {i: [0, c, 0] for i, c in self.c_terms}
-        for i, d in self.d_terms:
-            slots.setdefault(i, [0, 0, 0])[2] = d
-        if self.has_z_d2_term:
-            slots.setdefault(0, [0, 0, 0])[0] = -1
-        return integer_slots([(i, *slots[i]) for i in sorted(slots)])
+    def columns(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
+        """The a2, a1 and a0 columns as sparse polynomials (o - 1, a),
+        ascending, zeros dropped: the integrand is
+        z (a2 col) f'' + (a1 col) f' + (a0 col) f / z."""
+        return tuple(tuple((o - 1, s[j]) for o, *s in self.slots if s[j] != 0)
+                     for j in range(3))
 
 
 def transform(problem: OdeProblem, root_choice: int) -> OperatorSpec:
     """OperatorSpec for the chosen indicial root (1 = larger, 2 = smaller):
-    each slot o >= 1 of the normal form, conjugated by z^lambda, gives
-    C_{o-1} = a1 + 2 lam a2 and D_{o-1} = a0 + lam a1 + lam(lam-1) a2, and
-    a nonzero a2 there the -z f'' term (module docstring).
+    the slots o >= 1 of the normal form, each conjugated by z^lambda
+    (module docstring).
     """
     if root_choice not in (1, 2):
         raise ValueError("root_choice must be 1 or 2")
     idx = indicial(problem)
     lam = idx.lam1 if root_choice == 1 else idx.lam2
-    n = problem.series_cutoff
-    # every slot must land inside the C/D windows: p_i with i <= N, q_i with i < N
-    if problem.slots[-1][0] > n + 1:
+    # every slot must land inside the order-N window: p_i with i <= N, q_i with i < N
+    if problem.slots[-1][0] > problem.series_cutoff + 1:
         raise ValueError("series_cutoff too small for the given p/q coefficients")
+    slots = []
     # slot 0, the Euler part, always leads and becomes alpha
-    rest = problem.slots[1:]
-    cs = [0] * (n + 1)
-    ds = [0] * (n + 1)
-    for o, a2, a1, a0 in rest:
+    for o, a2, a1, a0 in problem.slots[1:]:
         c, d = a1, a0 + lam * a1
-        if a2:     # else C keeps a1 as given, exact even at a float lambda
+        if a2:     # else a1 stays as given, exact even at a float lambda
             c, d = c + 2 * lam * a2, d + lam * (lam - 1) * a2
-        cs[o - 1], ds[o - 1] = c, d
-    return OperatorSpec(
-        alpha=idx.alpha_for(lam),
-        lam=lam,
-        c_coeffs=tuple(cs),
-        d_coeffs=tuple(ds),
-        has_z_d2_term=any(a2 for _o, a2, _a1, _a0 in rest),
-    )
+        slots.append((o, a2, c, d))
+    return OperatorSpec(alpha=idx.alpha_for(lam), lam=lam, slots=tuple(slots))
 
 
 def map_gegenbauer(beta: Scalar, alpha_g: Scalar, series_cutoff: int = 12) -> OdeProblem:

@@ -263,18 +263,23 @@ def log_second_recurrence_streams(n: int, m_max: int) -> tuple[tuple[Fraction, .
 
 
 def solve_log_second(problem: OdeProblem, n: int, order: int | None = None) -> Solution:
-    """Second solution in the integer-gap (resonant) case, via the generic
-    pipeline: the c1 seed is z^{-2n}/(-2n) (log z when n = 0) and the log
-    branch of L fires at the resonant step.  The recurrence-iterated
-    coefficient streams ride along for cross-checking as Solution.log_streams,
-    computed on first read.
+    """Second solution of a Bessel-shaped problem with the root gap 2n, via
+    the generic pipeline: the c1 seed is z^{-2n}/(-2n) (log z when n = 0)
+    and the log branch of L fires at the resonant step.  The
+    recurrence-iterated coefficient streams of Bessel's equation ride along
+    for cross-checking as Solution.log_streams, computed on first read.
+
+    The log solution at any integer gap, odd or even, is
+    solve(problem, 1, 0, 1); this helper only adds the streams.
     """
     idx = indicial(problem)
     gap = as_int(idx.delta_lambda)
     if gap is None:
         raise ValueError(f"gap {idx.delta_lambda} is not an integer")
     if gap != 2 * n:
-        raise ValueError(f"expected gap 2n = {2 * n}, problem has {gap}")
+        raise ValueError(
+            f"expected the Bessel-shaped gap 2n = {2 * n}, problem has {gap}; "
+            f"solve(problem, 1, 0, 1) gives the log solution at any integer gap")
     N = problem.series_cutoff if order is None else order
     sol = solve(problem, 1, 0, 1, order=N)
     return replace(sol, _log_stream_args=(n, max(0, (N - 2 * n) // 2)))

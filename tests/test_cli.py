@@ -275,6 +275,39 @@ def test_eval_outside_domain_exits_two(bessel_json, capsys):
     assert "solve error:" in capsys.readouterr().err
 
 
+def test_eval_refuses_points_outside_the_disc(capsys):
+    # 2F1(1/2, 1/3; 5/4) converges for |z| < 1 only: its order-40 partial
+    # sum reads 36541.6 at z = 1.5.  Nothing is printed, not even the
+    # points inside the disc
+    gauss = str(ROOT / "demos" / "problems" / "gauss.json")
+    for z in ("1.5", "1"):
+        assert main(["eval", "--problem", gauss, "--c0", "1", "--order", "40",
+                     "--z", "0.5", "--z", z]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside the disc |z| < 1" in captured.err
+    assert main(["eval", "--problem", gauss, "--c0", "1", "--z", "0.99"]) == 0
+    assert capsys.readouterr().out.startswith("psi(0.99) = ")
+
+
+def test_eval_of_a_terminating_series_is_not_refused(tmp_path, capsys):
+    # the Gegenbauer polynomial 2F1(-3, 5; 3/2; z) has no disc to leave:
+    # 1 - 15 + 54 - 54 = -14 at z = 3/2, as mpmath's hyp2f1 gives
+    from regsing.problem import map_gegenbauer
+    path = tmp_path / "gegenbauer.json"
+    dump_problem(map_gegenbauer(Fr(1, 2), 3), path)
+    for mode in ("exact", "float"):
+        assert main(["eval", "--problem", str(path), "--c0", "1", "--order", "40",
+                     "--mode", mode, "--z", "1.5"]) == 0
+        assert capsys.readouterr().out == "psi(1.5) = -14\n"
+
+
+def test_eval_of_a_two_point_problem_has_no_disc(bessel_json, capsys):
+    assert main(["eval", "--problem", bessel_json, "--c0", "1",
+                 "--z", "50"]) == 0
+    assert capsys.readouterr().out.startswith("psi(50.0) = ")
+
+
 def test_bad_family_parameters_exit_two(capsys):
     assert main(["compare", "--family", "hyp1f1", "--a", "1/2"]) == 2
     assert main(["compare", "--family", "bessel_log", "--n", "1/2"]) == 2

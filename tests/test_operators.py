@@ -18,14 +18,12 @@ from regsing.logseries import (
 from regsing.operators import SingularTerm, _apply_A_composed, apply_A, apply_L, make_f0
 from regsing.problem import OdeProblem, OperatorSpec, transform
 
-from test_problem import bessel_problem, confluent_problem, gauss_problem
+from test_problem import bessel_problem, confluent_problem, dense_cd, gauss_problem
 
 
-def plain_spec(alpha, cutoff=8):
-    """Spec with C = D = 0: A vanishes, L is isolated."""
-    zeros = (Fr(0),) * (cutoff + 1)
-    return OperatorSpec(alpha=alpha, lam=0, c_coeffs=zeros, d_coeffs=zeros,
-                        has_z_d2_term=False)
+def plain_spec(alpha):
+    """Spec with no slots: A vanishes, L is isolated."""
+    return OperatorSpec(alpha=alpha, lam=0, slots=())
 
 
 def mono(coeff, sigma, order=8, k=0):
@@ -104,7 +102,7 @@ def test_L_is_right_inverse_of_euler_part(alpha_int, terms):
     # (1/z^alpha) d/dz (z^alpha d/dz (L f)) == f, exactly, logs included
     alpha = Fr(alpha_int)
     f = LogSeries(Fr(-2), 4, {(m, k): c for m, k, c in terms})
-    g = apply_L(plain_spec(alpha, cutoff=4), f)
+    g = apply_L(plain_spec(alpha), f)
     d1 = differentiate(g)
     back = shift_exponent(differentiate(shift_exponent(d1, alpha)), -alpha)
     assert back == f
@@ -179,9 +177,10 @@ def test_A_matches_two_point_monomial_closed_form(p0, p1, q0, q1, m):
     prob = OdeProblem("two_point", {-1: Fr(3), 0: p0, 1: p1},
                       {-1: q0, 0: q1}, series_cutoff=4)
     spec = transform(prob, 1)
+    _, d_coeffs, _ = dense_cd(spec, prob.series_cutoff)
     out = apply_A(spec, mono(1, m, order=6))
     for i in range(3):
-        num = m * prob.p(i) + spec.d_coeffs[i]
+        num = m * prob.p(i) + d_coeffs[i]
         expect = num / Fr((i + m + 1)) / (i + m + spec.alpha)
         assert out.coefficient_at(i + m + 1) == expect
 
@@ -203,13 +202,13 @@ def test_A_degree_growth(terms):
         assert out_min >= in_min + 1
 
 
-def _dense_apply_A(spec, f):
+def _dense_apply_A(spec, f, c_coeffs, d_coeffs, has_z_d2_term):
     # A composed with the full C/D polynomials, zeros included
     df = differentiate(f)
     integrand = linear_combine(
-        1, mul_poly(df, list(enumerate(spec.c_coeffs))),
-        1, shift_exponent(mul_poly(f, list(enumerate(spec.d_coeffs))), -1))
-    if spec.has_z_d2_term:
+        1, mul_poly(df, list(enumerate(c_coeffs))),
+        1, shift_exponent(mul_poly(f, list(enumerate(d_coeffs))), -1))
+    if has_z_d2_term:
         integrand = linear_combine(1, integrand, 1,
                                    mul_poly(differentiate(df), [(1, -1)]))
     return apply_L(spec, integrand)
@@ -224,12 +223,14 @@ def _dense_apply_A(spec, f):
                 max_size=3))
 @settings(max_examples=80)
 def test_A_from_sparse_terms_matches_dense_polynomials(cs, ds, z_d2, terms):
-    spec = OperatorSpec(alpha=Fr(7, 3), lam=0, c_coeffs=tuple(cs),
-                        d_coeffs=tuple(ds), has_z_d2_term=z_d2)
-    assert spec.c_terms == tuple((i, c) for i, c in enumerate(cs) if c != 0)
-    assert spec.d_terms == tuple((i, d) for i, d in enumerate(ds) if d != 0)
+    # slot o = i + 1 holds C_i and D_i, and a2 = -1 at slot 1 gives -z f''
+    slots = tuple((i + 1, -1 if z_d2 and i == 0 else 0, c, d)
+                  for i, (c, d) in enumerate(zip(cs, ds)))
+    spec = OperatorSpec(alpha=Fr(7, 3), lam=0, slots=slots)
+    assert spec.columns[1] == tuple((i, c) for i, c in enumerate(cs) if c != 0)
+    assert spec.columns[2] == tuple((i, d) for i, d in enumerate(ds) if d != 0)
     f = LogSeries(Fr(1, 2), 5, {(m, k): c for m, k, c in terms})
-    out, dense = apply_A(spec, f), _dense_apply_A(spec, f)
+    out, dense = apply_A(spec, f), _dense_apply_A(spec, f, cs, ds, z_d2)
     assert out.coeffs == dense.coeffs
     assert (out.sigma, out.order) == (dense.sigma, dense.order)
 

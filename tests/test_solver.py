@@ -439,6 +439,33 @@ def test_log_second_rejects_wrong_gap():
         solve_log_second(bessel_problem(Fr(1, 3)), 1, order=8)
 
 
+def test_double_root_log_solution_is_the_frobenius_derivative():
+    # 1F1(1/2; 1) has the double indicial root 0.  The c1 seed log z gives
+    # d/de sum_k (1/2 + e)_k / ((1 + e)_k)^2 z^{k+e} at e = 0:
+    # sum_k c_k (z^k log z + (sum_{j<k} 1/(1/2 + j) - 2 H_k) z^k)
+    a, n = Fr(1, 2), 30
+    sol = solve(confluent_problem(a, Fr(1)), 1, 0, 1, order=n)
+    coeffs = {}
+    for k in range(n + 1):
+        c = pochhammer(a, k) / math.factorial(k) ** 2
+        shift = sum(Fr(1) / (a + j) for j in range(k)) - 2 * sum(Fr(1, j) for j in range(1, k + 1))
+        coeffs[(k, 1)], coeffs[(k, 0)] = c, c * shift
+    assert sol.f == LogSeries(0, n, coeffs)
+    assert sol.residual_leading_order >= n - 1
+
+
+def test_odd_gap_log_solution_comes_from_solve():
+    # 2F1(1/2, 1/3; 2) has roots 0 and -1: a gap of 1, which the
+    # Bessel-shaped solve_log_second refuses, while solve reaches the log
+    # solution from the c1 seed
+    problem = gauss_problem(Fr(1, 2), Fr(1, 3), Fr(2))
+    sol = solve(problem, 1, 0, 1, order=20)
+    assert sol.f.max_log_power == 1
+    assert sol.residual_leading_order >= 19
+    with pytest.raises(ValueError, match=r"solve\(problem, 1, 0, 1\)"):
+        solve_log_second(problem, 0, order=20)
+
+
 # ----------------------------------------------------------------- particular
 
 def test_struve_scaled_solve_matches_catalog():
