@@ -74,7 +74,7 @@ def _scalar(value, where: str) -> Fraction:
     raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
-def _coeff_map(doc, name: str, low: int) -> dict:
+def _coeff_map(doc, name: str) -> dict:
     if not isinstance(doc, dict):
         raise SchemaError(f"'{name}' must be an object mapping index to rational")
     out = {}
@@ -83,8 +83,6 @@ def _coeff_map(doc, name: str, low: int) -> dict:
             idx = int(key)
         except ValueError as exc:
             raise SchemaError(f"'{name}' key {key!r} is not an integer") from exc
-        if idx < low:
-            raise SchemaError(f"'{name}' index {idx} below minimum {low}")
         out[idx] = _scalar(value, f"{name}[{key}]")
     return out
 
@@ -136,17 +134,15 @@ def parse_problem(path) -> OdeProblem:
         raise SchemaError(f"unknown keys {sorted(unknown)}")
     if "kind" not in doc:
         raise SchemaError("missing required key 'kind'")
-    kind = doc["kind"]
-    if kind not in ("two_point", "three_point"):
-        raise SchemaError("'kind' must be 'two_point' or 'three_point'")
     cutoff = doc.get("series_cutoff", 12)
     if not isinstance(cutoff, int) or cutoff < 1:
         raise SchemaError("'series_cutoff' must be a positive integer")
-    p = _coeff_map(doc.get("p", {}), "p", -1)
-    q = _coeff_map(doc.get("q", {}), "q", -2)   # missing q[-2] just means 0
+    p = _coeff_map(doc.get("p", {}), "p")
+    q = _coeff_map(doc.get("q", {}), "q")   # missing q[-2] just means 0
     rhs = _rhs_series(doc["rhs"], cutoff) if "rhs" in doc else None
     try:
-        return OdeProblem(kind, p, q, rhs=rhs, series_cutoff=cutoff)
+        # OdeProblem checks the kind and the index bounds
+        return OdeProblem(doc["kind"], p, q, rhs=rhs, series_cutoff=cutoff)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -204,22 +200,8 @@ def _print_series(f: LogSeries, meta: list, fmt: str, out) -> None:
             print(f"{m:>4} {k:>3}  {c}", file=out)
 
 
-_FAMILY_CLI = {
-    "exp": "Exp",
-    **dict.fromkeys(("cos", "sin", "cosh", "sinh"), "TrigHyp"),
-    "bessel": "BesselRegular",
-    "bessel_irregular": "BesselIrregular",
-    "bessel_log": "BesselLogSecond",
-    "hyp1f1": "Hyp1F1Regular",
-    "hyp1f1_irregular": "Hyp1F1Irregular",
-    "hyp2f1": "Hyp2F1Regular",
-    "hyp2f1_irregular": "Hyp2F1Irregular",
-    "struve": "Struve",
-}
-
-
 def _family_from_args(args) -> "CatalogFamily":
-    tag = _FAMILY_CLI[args.family]
+    tag = _FAMILY_CLI[args.family][0]
     params = {}
     for name in _FAMILY_PARAMS[tag]:
         if name == "variant":
@@ -229,11 +211,6 @@ def _family_from_args(args) -> "CatalogFamily":
         if value is None:
             raise ParameterError(f"--family {args.family} requires --{name}")
         params[name] = value
-    if tag == "BesselLogSecond":
-        n = params["n"]
-        if n.denominator != 1:
-            raise ParameterError("--n must be an integer")
-        params["n"] = int(n)
     return catalog_family(tag, **params)
 
 
@@ -252,29 +229,32 @@ def _bessel_irregular_series(p, order: int) -> LogSeries:
                                       in bessel_j_series(-nu, order).coeffs.items()})
 
 
-# family name -> (params, order) -> the classical series the solver is
-# compared against: catalog.py and factorial formulas, independent of the
-# solver and of the term ratios
-_ORACLES = {
-    "exp": lambda p, n: LogSeries(0, n, {(k, 0): Fraction(1, factorial(k))
-                                         for k in range(n + 1)}),
-    **dict.fromkeys(("cos", "sin", "cosh", "sinh"), _trig_series),
-    "bessel": lambda p, n: bessel_j_series(p["nu"], n),
-    "bessel_irregular": _bessel_irregular_series,
-    "bessel_log": lambda p, n: bessel_log_second_series(p["n"], n),
-    "hyp1f1": lambda p, n: hyp1f1_series(p["a"], p["c"], n),
-    "hyp1f1_irregular": lambda p, n: hyp1f1_series(p["a"] + 1 - p["c"], 2 - p["c"], n),
-    "hyp2f1": lambda p, n: hyp2f1_series(p["a"], p["b"], p["c"], n),
-    "hyp2f1_irregular": lambda p, n: hyp2f1_series(
-        p["a"] + 1 - p["c"], p["b"] + 1 - p["c"], 2 - p["c"], n),
-    "struve": lambda p, n: struve_series(p["nu"], n, scaled=True),
+# --family name -> (tag, oracle).  The oracle maps (params, order) to the
+# classical series the solver is compared against: catalog.py and factorial
+# formulas, independent of the solver and of the term ratios
+_FAMILY_CLI = {
+    "exp": ("Exp", lambda p, n: LogSeries(0, n, {(k, 0): Fraction(1, factorial(k))
+                                                 for k in range(n + 1)})),
+    **dict.fromkeys(("cos", "sin", "cosh", "sinh"), ("TrigHyp", _trig_series)),
+    "bessel": ("BesselRegular", lambda p, n: bessel_j_series(p["nu"], n)),
+    "bessel_irregular": ("BesselIrregular", _bessel_irregular_series),
+    "bessel_log": ("BesselLogSecond",
+                   lambda p, n: bessel_log_second_series(p["n"], n)),
+    "hyp1f1": ("Hyp1F1Regular", lambda p, n: hyp1f1_series(p["a"], p["c"], n)),
+    "hyp1f1_irregular": ("Hyp1F1Irregular", lambda p, n: hyp1f1_series(
+        p["a"] + 1 - p["c"], 2 - p["c"], n)),
+    "hyp2f1": ("Hyp2F1Regular",
+               lambda p, n: hyp2f1_series(p["a"], p["b"], p["c"], n)),
+    "hyp2f1_irregular": ("Hyp2F1Irregular", lambda p, n: hyp2f1_series(
+        p["a"] + 1 - p["c"], p["b"] + 1 - p["c"], 2 - p["c"], n)),
+    "struve": ("Struve", lambda p, n: struve_series(p["nu"], n, scaled=True)),
 }
 
 
 def _family_solver_series(name: str, fam, order: int):
     """(solver LogSeries, oracle LogSeries) of the family: f, or psi for
     Struve.  Exp has no equation and sums its integer powers."""
-    oracle = _ORACLES[name](dict(fam.params), order)
+    oracle = _FAMILY_CLI[name][1](dict(fam.params), order)
     if fam.tag == "Exp":
         coeffs = {(k, 0): data.coefficient * (1 if k % 2 == 0 else -1)
                   for k, data in zip(range(order + 1), integer_powers(fam))}
@@ -285,16 +265,21 @@ def _family_solver_series(name: str, fam, order: int):
 
 # ---------------------------------------------------------------- commands
 
-def cmd_solve(args) -> int:
+def _solve_file(args, dump=None):
+    """(problem, Solution) of --problem: parsed, written to `dump` when
+    given, taken to float in --mode float, and solved from --c0/--c1."""
     problem = parse_problem(args.problem)
-    if args.dump_problem:
-        dump_problem(problem, args.dump_problem)
-    if args.mode == "float":
-        problem = _to_float_problem(problem)
+    if dump:
+        dump_problem(problem, dump)
     c0, c1 = args.c0, args.c1
     if args.mode == "float":
+        problem = _to_float_problem(problem)
         c0, c1 = float(c0), float(c1)
-    sol = solve(problem, args.root, c0, c1, order=args.order)
+    return problem, solve(problem, args.root, c0, c1, order=args.order)
+
+
+def cmd_solve(args) -> int:
+    _, sol = _solve_file(args, args.dump_problem)
     meta = [("lambda", sol.lam), ("sigma", sol.f.sigma), ("mode", sol.mode),
             ("iterations", sol.iterations_used),
             ("residual_leading_order", sol.residual_leading_order)]
@@ -303,14 +288,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    problem = parse_problem(args.problem)
-    if args.mode == "float":
-        problem = _to_float_problem(problem)
-    c0, c1 = args.c0, args.c1
-    if args.mode == "float":
-        c0, c1 = float(c0), float(c1)
-    sol = solve(problem, args.root, c0, c1, order=args.order)
+    problem, sol = _solve_file(args)
     points = args.z or [0.5]
+    if any(z <= 0 for z in points):
+        raise DomainError(f"series evaluation needs z > 0, got {min(points)}")
     outside = [z for z in points if z >= problem.radius]
     if outside and sol.residual_leading_order is not None:
         raise DomainError(f"z = {outside[0]} is outside the disc |z| < "

@@ -186,7 +186,14 @@ def _nonpositive_int_param(x) -> bool:
 
 
 def catalog_family(tag: str, **params) -> CatalogFamily:
-    """Validated family record; ParameterError outside the validity domain."""
+    """Validated family record; ParameterError outside the validity domain.
+
+    Besides the parameter names, TrigHyp's variant and omega > 0, and
+    BesselLogSecond's integer n >= 0, validity comes from the term ratio
+    A^{n+1}/A^n = K prod(n + t) / prod(n + b) (_term_ratio): the family is
+    a hypergeometric term exactly when A^0 is finite and no t or b is a
+    non-positive integer.
+    """
     if tag not in _FAMILY_PARAMS:
         raise ParameterError(f"unknown family tag {tag!r}")
     if tag == "TrigHyp":
@@ -201,31 +208,25 @@ def catalog_family(tag: str, **params) -> CatalogFamily:
             raise ParameterError(f"variant must be one of {_TRIG_VARIANTS}")
         if not float(params["omega"]) > 0:
             raise ParameterError("omega must be positive")
-    elif tag == "BesselRegular":
-        if _nonpositive_int_param(params["nu"] + 1):
-            raise ParameterError("nu must not be a negative integer")
-    elif tag == "BesselIrregular":
-        n = as_int(params["nu"])
-        if n is not None and n >= 0:
-            raise ParameterError(
-                "integer nu has a logarithmic second solution; "
-                "use BesselLogSecond")
-    elif tag == "BesselLogSecond":
+    if tag == "BesselLogSecond":
         n = as_int(params["n"])
         if n is None or n < 0:
             raise ParameterError("n must be a non-negative integer")
-        params = {"n": n}
-    elif tag.startswith("Hyp"):
-        family = CatalogFamily(tag, tuple(sorted(params.items())))
-        if any(_nonpositive_int_param(x) for x in _hyp_params(family)):
-            raise ParameterError(
-                "effective parameters must avoid non-positive integers")
-    elif tag == "Struve":
-        nu = params["nu"]
-        if 2 * nu + 1 == 0 or _nonpositive_int_param(nu + Fraction(3, 2)):
-            raise ParameterError("nu = -1/2, -3/2, ... not supported")
+        return CatalogFamily(tag, (("n", n),))
 
-    return CatalogFamily(tag, tuple(sorted(params.items())))
+    family = CatalogFamily(tag, tuple(sorted(params.items())))
+    try:
+        _, _, tops, bottoms, _, _ = _term_ratio(family)
+    except ZeroDivisionError:
+        why = "A^0 is infinite"
+    else:
+        why = next((f"{side} = {x} of the term ratio is a non-positive integer"
+                    for side, xs in (("top t", tops), ("bottom b", bottoms))
+                    for x in xs if _nonpositive_int_param(x)), None)
+    if why is not None:
+        shown = ", ".join(f"{k}={v}" for k, v in family.params)
+        raise ParameterError(f"{tag}({shown}): {why}")
+    return family
 
 
 def _hyp_params(family: CatalogFamily):

@@ -59,7 +59,8 @@ class OdeProblem:
 
     def __post_init__(self):
         if self.kind not in ("two_point", "three_point"):
-            raise ValueError(f"unknown problem kind {self.kind!r}")
+            raise ValueError(
+                f"kind must be 'two_point' or 'three_point', got {self.kind!r}")
         if any(i < -1 for i in self.p_coeffs):
             raise ValueError("p indices start at -1")
         if any(i < -2 for i in self.q_coeffs):

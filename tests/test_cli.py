@@ -7,12 +7,15 @@ from pathlib import Path
 import pytest
 
 from regsing.cli import (
+    _FAMILY_CLI,
     ParseError,
     SchemaError,
+    build_parser,
     dump_problem,
     main,
     parse_problem,
 )
+from regsing.mellin import _FAMILY_PARAMS
 
 
 BESSEL_DOC = {
@@ -81,6 +84,15 @@ def test_bad_kind_value_is_schema_error(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"kind": "four_point"}))
     with pytest.raises(SchemaError, match="two_point"):
+        parse_problem(path)
+
+
+@pytest.mark.parametrize("name, index", [("p", -2), ("q", -3)])
+def test_index_below_its_bound_is_schema_error(tmp_path, name, index):
+    # the bounds p_{>=-1} and q_{>=-2} are OdeProblem's
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"kind": "two_point", name: {str(index): "1"}}))
+    with pytest.raises(SchemaError, match=f"{name} indices start at {index + 1}"):
         parse_problem(path)
 
 
@@ -275,6 +287,15 @@ def test_eval_outside_domain_exits_two(bessel_json, capsys):
     assert "solve error:" in capsys.readouterr().err
 
 
+def test_eval_checks_every_point_before_printing(capsys):
+    bessel = str(ROOT / "demos" / "problems" / "bessel.json")
+    assert main(["eval", "--problem", bessel, "--c0", "1",
+                 "--z", "0.5", "--z", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs z > 0, got -1.0" in captured.err
+
+
 def test_eval_refuses_points_outside_the_disc(capsys):
     # 2F1(1/2, 1/3; 5/4) converges for |z| < 1 only: its order-40 partial
     # sum reads 36541.6 at z = 1.5.  Nothing is printed, not even the
@@ -312,6 +333,24 @@ def test_bad_family_parameters_exit_two(capsys):
     assert main(["compare", "--family", "hyp1f1", "--a", "1/2"]) == 2
     assert main(["compare", "--family", "bessel_log", "--n", "1/2"]) == 2
     capsys.readouterr()
+
+
+def test_bessel_irregular_at_integer_nu_says_why(capsys):
+    assert main(["compare", "--family", "bessel_irregular", "--nu", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "solve error: BesselIrregular(nu=2): bottom b = -1 of the term ratio "
+        "is a non-positive integer\n")
+
+
+def test_every_family_name_maps_to_a_tag_and_an_oracle():
+    subcommands = next(a for a in build_parser()._actions if a.choices)
+    for command in ("contour", "compare"):
+        family = next(a for a in subcommands.choices[command]._actions
+                      if a.dest == "family")
+        assert sorted(family.choices) == sorted(_FAMILY_CLI)
+    for tag, oracle in _FAMILY_CLI.values():
+        assert tag in _FAMILY_PARAMS and callable(oracle)
+    assert {tag for tag, _ in _FAMILY_CLI.values()} == set(_FAMILY_PARAMS)
 
 
 # ------------------------------------------------------------------ compare

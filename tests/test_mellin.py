@@ -34,7 +34,10 @@ from regsing.catalog import (
 )
 from regsing.cli import main
 from regsing.mellin import (
+    _FAMILY_PARAMS,
+    _TRIG_VARIANTS,
     AccuracyError,
+    CatalogFamily,
     ContourResult,
     ContourSpec,
     EULER_GAMMA,
@@ -44,6 +47,7 @@ from regsing.mellin import (
     _family_problem,
     _half,
     _hyp_params,
+    _nonpositive_int_param,
     _one,
     _recip_gamma,
     catalog_family,
@@ -58,6 +62,7 @@ from regsing.mellin import (
     mellin_integrand,
     residue_eval,
 )
+from regsing.scalars import as_int
 from regsing.solver import solve
 
 from test_cli import COMPARE_CASES
@@ -165,6 +170,96 @@ def test_family_validation():
     assert fam.param("nu") == Fr(1, 3)
     with pytest.raises(KeyError):
         fam.param("omega")
+
+
+def _catalog_family_by_tag(tag, **params):
+    """Test oracle: catalog_family as it was written per tag, before its
+    validity rules were read from the term ratio."""
+    if tag not in _FAMILY_PARAMS:
+        raise ParameterError(f"unknown family tag {tag!r}")
+    if tag == "TrigHyp":
+        params.setdefault("omega", 1)
+    expected = set(_FAMILY_PARAMS[tag])
+    if set(params) != expected:
+        raise ParameterError(
+            f"{tag} expects params {sorted(expected)}, got {sorted(params)}")
+
+    if tag == "TrigHyp":
+        if params["variant"] not in _TRIG_VARIANTS:
+            raise ParameterError(f"variant must be one of {_TRIG_VARIANTS}")
+        if not float(params["omega"]) > 0:
+            raise ParameterError("omega must be positive")
+    elif tag == "BesselRegular":
+        if _nonpositive_int_param(params["nu"] + 1):
+            raise ParameterError("nu must not be a negative integer")
+    elif tag == "BesselIrregular":
+        n = as_int(params["nu"])
+        if n is not None and n >= 0:
+            raise ParameterError(
+                "integer nu has a logarithmic second solution; "
+                "use BesselLogSecond")
+    elif tag == "BesselLogSecond":
+        n = as_int(params["n"])
+        if n is None or n < 0:
+            raise ParameterError("n must be a non-negative integer")
+        params = {"n": n}
+    elif tag.startswith("Hyp"):
+        family = CatalogFamily(tag, tuple(sorted(params.items())))
+        if any(_nonpositive_int_param(x) for x in _hyp_params(family)):
+            raise ParameterError(
+                "effective parameters must avoid non-positive integers")
+    elif tag == "Struve":
+        nu = params["nu"]
+        if 2 * nu + 1 == 0 or _nonpositive_int_param(nu + Fr(3, 2)):
+            raise ParameterError("nu = -1/2, -3/2, ... not supported")
+
+    return CatalogFamily(tag, tuple(sorted(params.items())))
+
+
+# integers, half-integers (-1/2, -3/2 and nu = 0 among them) and rationals
+# 1/1000 beside them; as floats also the neighbouring doubles
+_exact_near_poles = st.one_of(
+    st.integers(-9, 9).map(lambda k: Fr(k, 2)),
+    st.tuples(st.integers(-9, 9), st.sampled_from((-1, 1))).map(
+        lambda kd: Fr(kd[0], 2) + Fr(kd[1], 1000)),
+)
+_params_near_poles = st.one_of(
+    _exact_near_poles,
+    _exact_near_poles.map(float),
+    st.tuples(_exact_near_poles.map(float), st.sampled_from((-math.inf, math.inf))).map(
+        lambda xd: math.nextafter(*xd)),
+)
+
+
+@st.composite
+def _family_arguments(draw):
+    tag = draw(st.sampled_from(sorted(_FAMILY_PARAMS)))
+    return tag, {name: draw(st.sampled_from(_TRIG_VARIANTS + ("tan",))
+                            if name == "variant" else _params_near_poles)
+                 for name in _FAMILY_PARAMS[tag]}
+
+
+@given(_family_arguments())
+@settings(max_examples=500, deadline=None)
+def test_term_ratio_rule_accepts_what_the_per_tag_chain_accepted(arguments):
+    tag, params = arguments
+    try:
+        want = _catalog_family_by_tag(tag, **params)
+    except ParameterError:
+        with pytest.raises(ParameterError):
+            catalog_family(tag, **params)
+    else:
+        assert catalog_family(tag, **params) == want
+
+
+def test_family_errors_say_why():
+    # 1 - nu = -1 is a bottom of BesselIrregular(2)'s term ratio: integer
+    # nu >= 0 is the logarithmic family, BesselLogSecond
+    with pytest.raises(ParameterError, match=r"^BesselIrregular\(nu=2\): bottom b = -1 "
+                       "of the term ratio is a non-positive integer$"):
+        catalog_family("BesselIrregular", nu=Fr(2))
+    with pytest.raises(ParameterError, match=r"^Struve\(nu=-1/2\): A\^0 is infinite$"):
+        catalog_family("Struve", nu=Fr(-1, 2))
 
 
 # -------------------------------------------------------- fractional powers
