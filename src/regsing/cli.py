@@ -38,7 +38,6 @@ from .mellin import (
     _family_problem,
     catalog_family,
     contour_eval,
-    integer_powers,
     residue_eval,
 )
 from .operators import SingularTerm
@@ -253,12 +252,8 @@ _FAMILY_CLI = {
 
 def _family_solver_series(name: str, fam, order: int):
     """(solver LogSeries, oracle LogSeries) of the family: f, or psi for
-    Struve.  Exp has no equation and sums its integer powers."""
+    Struve."""
     oracle = _FAMILY_CLI[name][1](dict(fam.params), order)
-    if fam.tag == "Exp":
-        coeffs = {(k, 0): data.coefficient * (1 if k % 2 == 0 else -1)
-                  for k, data in zip(range(order + 1), integer_powers(fam))}
-        return LogSeries(0, order, coeffs), oracle
     sol = solve(*_family_problem(fam, order), order=order)
     return (sol.psi if fam.tag == "Struve" else sol.f), oracle
 

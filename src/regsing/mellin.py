@@ -41,7 +41,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .catalog import ParameterError, struve_prefactor
-from .logseries import LogSeries, integrate
+from .logseries import LogSeries
 from .operators import apply_A
 from .problem import OdeProblem, root_index, transform
 from .scalars import Scalar, as_int, is_exact
@@ -185,6 +185,10 @@ def _nonpositive_int_param(x) -> bool:
     return n is not None and n <= 0
 
 
+def _overflows(x) -> bool:
+    return not is_exact(x) and not math.isfinite(x)
+
+
 def catalog_family(tag: str, **params) -> CatalogFamily:
     """Validated family record; ParameterError outside the validity domain.
 
@@ -192,7 +196,9 @@ def catalog_family(tag: str, **params) -> CatalogFamily:
     BesselLogSecond's integer n >= 0, validity comes from the term ratio
     A^{n+1}/A^n = K prod(n + t) / prod(n + b) (_term_ratio): the family is
     a hypergeometric term exactly when A^0 is finite and no t or b is a
-    non-positive integer.
+    non-positive integer.  With float parameters A^0 and the n = 0 ratio
+    must also stay finite floats; later ratios cannot overflow, since
+    n + b >= ulp(n) for every bottom b that is no non-positive integer.
     """
     if tag not in _FAMILY_PARAMS:
         raise ParameterError(f"unknown family tag {tag!r}")
@@ -216,15 +222,19 @@ def catalog_family(tag: str, **params) -> CatalogFamily:
 
     family = CatalogFamily(tag, tuple(sorted(params.items())))
     try:
-        _, _, tops, bottoms, _, _ = _term_ratio(family)
+        coeff, k, tops, bottoms, _, _ = _term_ratio(family)
     except ZeroDivisionError:
         why = "A^0 is infinite"
     else:
         why = next((f"{side} = {x} of the term ratio is a non-positive integer"
                     for side, xs in (("top t", tops), ("bottom b", bottoms))
                     for x in xs if _nonpositive_int_param(x)), None)
+        if why is None and _overflows(coeff):
+            why = "A^0 overflows"
+        elif why is None and _overflows(k * math.prod(tops) / math.prod(bottoms)):
+            why = "the n = 0 term ratio overflows"
     if why is not None:
-        shown = ", ".join(f"{k}={v}" for k, v in family.params)
+        shown = ", ".join(f"{name}={v}" for name, v in family.params)
         raise ParameterError(f"{tag}({shown}): {why}")
     return family
 
@@ -243,7 +253,8 @@ def _family_problem(family: CatalogFamily, order: int):
     """(OdeProblem, root_choice, c0, c1): the family's equation, its root,
     picked by value (0 or 1 for the trigonometric forms, nu for the Bessel
     ones, 0 or 1 - c for the hypergeometric ones), and the seeds of its
-    solution.  Exp has none."""
+    solution.  Exp is Kummer's equation at a = c = 1, z psi'' + (1 - z) psi'
+    - psi = 0, with the double root 0."""
     tag = family.tag
     if tag == "TrigHyp":
         omega, variant = family.param("omega"), family.param("variant")
@@ -258,36 +269,24 @@ def _family_problem(family: CatalogFamily, order: int):
                           series_cutoff=order)
         c0, c1 = {"BesselRegular": (1, 0), "Struve": (0, 0)}.get(tag, (0, 1))
         return prob, root_index(prob, nu), c0, c1
-    if tag.startswith("Hyp1F1"):
-        a, c = family.param("a"), family.param("c")
-        prob = OdeProblem("two_point", {-1: c, 0: -1}, {-1: -a}, series_cutoff=order)
-    elif tag.startswith("Hyp2F1"):
+    if tag.startswith("Hyp2F1"):
         a, b, c = family.param("a"), family.param("b"), family.param("c")
         prob = OdeProblem("three_point", {-1: c, 0: -(a + b + 1)}, {-1: -a * b},
                           series_cutoff=order)
     else:
-        raise ParameterError(f"{tag} has no equation")
+        a, c = (1, 1) if tag == "Exp" else (family.param("a"), family.param("c"))
+        prob = OdeProblem("two_point", {-1: c, 0: -1}, {-1: -a}, series_cutoff=order)
     return prob, root_index(prob, 0 if tag.endswith("Regular") else 1 - c), 1, 0
 
 
 def family_operator(family: CatalogFamily, order: int = 20):
     """(seed LogSeries, one-application callable) for the family's iteration.
 
-    The callable is the same operator the solver iterates, so v-fold
-    application is the exact integer-order reference for
-    fractional_power_coeff.  Exp iterates a single signed integration; every
-    other family iterates the A of its equation (_family_problem), from the
-    solver's driving term as the seed.
+    The callable is the A of the family's equation (_family_problem), the
+    same operator the solver iterates, and the seed is the solver's driving
+    term, so v-fold application is the exact integer-order reference for
+    fractional_power_coeff.
     """
-    if family.tag == "Exp":
-        seed = LogSeries.monomial(1, 0, order)
-
-        def apply_one(f: LogSeries) -> LogSeries:
-            g = integrate(f)
-            return LogSeries(g.sigma, g.order,
-                             {mk: -c for mk, c in g.coeffs.items()})
-
-        return seed, apply_one
     prob, root, c0, c1 = _family_problem(family, order)
     spec = transform(prob, root)
     return _driving_term(prob, spec, c0, c1, order), lambda f: apply_A(spec, f)

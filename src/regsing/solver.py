@@ -75,11 +75,14 @@ class Solution:
 
     @cached_property
     def log_streams(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None:
-        """The recurrence-iterated (c1, c2) streams of a log second solution,
-        computed on first read (None for other solutions)."""
+        """The (c1, c2) streams of a log second solution, read off its own f
+        on first read: (c1(m), c2(m)) = (-4)^m (f[2(n+m), 1], f[2(n+m), 0])
+        for the rows 2(n+m) <= N that f holds; None for other solutions."""
         if self._log_stream_args is None:
             return None
-        return log_second_recurrence_streams(*self._log_stream_args)
+        n, m_max = self._log_stream_args
+        return tuple(tuple(Fraction((-4) ** m) * self.f.coefficient(2 * (n + m), k)
+                           for m in range(m_max + 1)) for k in (1, 0))
 
 
 def neumann_apply_resolvent(spec: OperatorSpec, g: LogSeries, order: int) -> LogSeries:
@@ -265,9 +268,10 @@ def log_second_recurrence_streams(n: int, m_max: int) -> tuple[tuple[Fraction, .
 def solve_log_second(problem: OdeProblem, n: int, order: int | None = None) -> Solution:
     """Second solution of a Bessel-shaped problem with the root gap 2n, via
     the generic pipeline: the c1 seed is z^{-2n}/(-2n) (log z when n = 0)
-    and the log branch of L fires at the resonant step.  The
-    recurrence-iterated coefficient streams of Bessel's equation ride along
-    for cross-checking as Solution.log_streams, computed on first read.
+    and the log branch of L fires at the resonant step.  The coefficient
+    streams (c1, c2) of the log-case recurrence ride along as
+    Solution.log_streams, read off the solve's f on first read, so they can
+    be held against the independent log_second_recurrence_streams.
 
     The log solution at any integer gap, odd or even, is
     solve(problem, 1, 0, 1); this helper only adds the streams.
@@ -282,7 +286,7 @@ def solve_log_second(problem: OdeProblem, n: int, order: int | None = None) -> S
             f"solve(problem, 1, 0, 1) gives the log solution at any integer gap")
     N = problem.series_cutoff if order is None else order
     sol = solve(problem, 1, 0, 1, order=N)
-    return replace(sol, _log_stream_args=(n, max(0, (N - 2 * n) // 2)))
+    return replace(sol, _log_stream_args=(n, (N - 2 * n) // 2))
 
 
 def contraction_report(spec: OperatorSpec, z0: float) -> float:

@@ -1,6 +1,7 @@
 """Gamma/digamma accuracy, family validation, fractional powers, residue
 equivalence, and honest contour quadrature diagnostics."""
 
+import ast
 import cmath
 import functools
 import math
@@ -33,6 +34,7 @@ from regsing.catalog import (
     struve_series,
 )
 from regsing.cli import main
+from regsing.logseries import LogSeries, integrate
 from regsing.mellin import (
     _FAMILY_PARAMS,
     _TRIG_VARIANTS,
@@ -248,8 +250,17 @@ def test_term_ratio_rule_accepts_what_the_per_tag_chain_accepted(arguments):
     except ParameterError:
         with pytest.raises(ParameterError):
             catalog_family(tag, **params)
+        return
+    try:
+        got = catalog_family(tag, **params)
+    except ParameterError as exc:
+        # the chain never looked at float overflow: the rule refuses beyond
+        # it only where A^0 or A^1 of the chain's record is not finite
+        assert str(exc).endswith("overflows")
+        powers = islice(integer_powers(want), 2)
+        assert not all(math.isfinite(abs(data.coefficient)) for data in powers)
     else:
-        assert catalog_family(tag, **params) == want
+        assert got == want
 
 
 def test_family_errors_say_why():
@@ -260,6 +271,22 @@ def test_family_errors_say_why():
         catalog_family("BesselIrregular", nu=Fr(2))
     with pytest.raises(ParameterError, match=r"^Struve\(nu=-1/2\): A\^0 is infinite$"):
         catalog_family("Struve", nu=Fr(-1, 2))
+
+
+def test_family_refuses_a_term_ratio_that_overflows():
+    # residue_eval summed these to nan: A^0 = -0.5/5e-324 = -inf, and the
+    # first step of 1F1(1; 1e-320) is -1/1e-320 = -inf
+    with pytest.raises(ParameterError, match=r"^BesselIrregular\(nu=5e-324\): "
+                       r"A\^0 overflows$"):
+        catalog_family("BesselIrregular", nu=5e-324)
+    with pytest.raises(ParameterError, match=r"^Hyp1F1Regular\(a=1.0, c=1e-320\): "
+                       r"the n = 0 term ratio overflows$"):
+        catalog_family("Hyp1F1Regular", a=1.0, c=1e-320)
+    # the neighbour within an ulp of the exact refusal at nu = -1/2 stays:
+    # A^0 = 1/(2 nu + 1) is about 9.0e15
+    fam = catalog_family("Struve", nu=-0.49999999999999994)
+    assert 9.0e15 <= next(integer_powers(fam)).coefficient <= 9.01e15
+    assert math.isfinite(residue_eval(fam, 0.3))
 
 
 # -------------------------------------------------------- fractional powers
@@ -840,13 +867,62 @@ def test_residue_eval_walks_the_term_ratio_once(monkeypatch, family):
     assert not calls
 
 
-def test_compare_exp_walks_the_term_ratio(monkeypatch, capsys):
+def test_compare_exp_solves_kummers_equation(monkeypatch, capsys):
     calls = Counter()
     _count_calls(monkeypatch, calls, regsing.mellin, "fractional_power_coeff")
     _count_calls(monkeypatch, calls, regsing.cli, "fractional_power_coeff")
+    solves = Counter()
+    _count_calls(monkeypatch, solves, regsing.cli, "solve")
     assert main(["compare", "--family", "exp", "--order", "200"]) == 0
     assert capsys.readouterr().out == "max_coefficient_discrepancy = 0\n"
     assert not calls
+    assert solves == {"solve": 1}
+
+
+# the functions that may dispatch on a family tag, besides the two tables
+# that declare the tags (mellin._FAMILY_PARAMS, cli._FAMILY_CLI): this list
+# may shrink, never grow
+TAG_DISPATCH = {
+    ("mellin", name) for name in (
+        "catalog_family", "_hyp_params", "_family_problem", "_term_ratio",
+        "family_target_factor", "integer_powers", "fractional_power_coeff",
+        "mellin_integrand")
+} | {("cli", "_family_solver_series")}
+TAG_TABLES = {("mellin", "_FAMILY_PARAMS"), ("cli", "_FAMILY_CLI")}
+
+
+def _tag_literal_owners():
+    """(module, top-level owner, literal) for every string constant in
+    src/regsing that is a family tag or a prefix or suffix of one ("Hyp2F1",
+    "Regular"); the owner is the top-level def, class or assigned name."""
+    def tagish(value):
+        return isinstance(value, str) and len(value) >= 3 and any(
+            tag.startswith(value) or tag.endswith(value) for tag in _FAMILY_PARAMS)
+
+    src = Path(regsing.mellin.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                owner = top.name
+            elif isinstance(top, ast.Assign) and isinstance(top.targets[0], ast.Name):
+                owner = top.targets[0].id
+            else:
+                owner = None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Constant) and tagish(node.value):
+                    found.add((path.stem, owner, node.value))
+    return found
+
+
+def test_family_tag_dispatch_only_shrinks():
+    found = _tag_literal_owners()
+    assert {("mellin", "_term_ratio", "Exp"), ("cli", "_FAMILY_CLI", "Struve")} <= found
+    owners = {(mod, owner) for mod, owner, _ in found}
+    assert owners - TAG_DISPATCH - TAG_TABLES == set()
+    exp_owners = {(mod, owner) for mod, owner, value in found if value == "Exp"}
+    assert exp_owners - TAG_TABLES - {("mellin", "_term_ratio"),
+                                      ("mellin", "_family_problem")} == set()
 
 
 # ------------------------------------------ numpy-free trapezoid, exact sum
@@ -1220,8 +1296,7 @@ def test_gamma_form_is_built_once_per_family(monkeypatch):
 # ------------------------------------------ the shared equation builder
 
 @pytest.mark.parametrize("order", [12, 40])
-@pytest.mark.parametrize("flags", [fl for fl in COMPARE_CASES if fl[1] != "exp"],
-                         ids=lambda fl: "-".join(fl[1::2]))
+@pytest.mark.parametrize("flags", COMPARE_CASES, ids=lambda fl: "-".join(fl[1::2]))
 def test_family_problem_solve_equals_the_family_operator_neumann_sum(flags, order):
     args = regsing.cli.build_parser().parse_args(["compare"] + flags)
     family = regsing.cli._family_from_args(args)
@@ -1232,6 +1307,16 @@ def test_family_problem_solve_equals_the_family_operator_neumann_sum(flags, orde
     assert (sol.f.sigma, sol.f.order) == (f.sigma, f.order)
 
 
-def test_exp_has_no_equation():
-    with pytest.raises(ParameterError, match="no equation"):
-        _family_problem(catalog_family("Exp"), 12)
+@pytest.mark.parametrize("order", [12, 40])
+def test_exp_operator_is_the_negated_integration(order):
+    # test-side oracle: Kummer's A at a = c = 1 is the negated integration,
+    # z^s log^k z to minus its antiderivative, -z^{s+1}/(s+1) at k = 0
+    def negated_integration(f):
+        g = integrate(f)
+        return LogSeries(g.sigma, g.order, {mk: -c for mk, c in g.coeffs.items()})
+
+    seed, apply_one = family_operator(catalog_family("Exp"), order)
+    want = LogSeries.monomial(1, 0, order)
+    for _ in range(7):
+        assert (seed.sigma, seed.order, seed.coeffs) == (want.sigma, want.order, want.coeffs)
+        seed, want = apply_one(seed), negated_integration(want)
