@@ -1,0 +1,7 @@
+"""Entry point for `python -m regsing`: runs the command-line interface."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

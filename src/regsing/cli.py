@@ -3,7 +3,8 @@ run contour quadrature diagnostics, and compare solver output against the
 classical-series oracles.
 
 Exit codes: 0 success, 1 parse/schema errors, 2 solve-domain errors,
-3 accuracy errors (quadrature tails, tolerance violations).
+3 accuracy errors (quadrature tails, tolerance violations, residues that
+do not fit a float).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .logseries import (
 )
 from .mellin import (
     _FAMILY_PARAMS,
+    DEFAULT_CONTOUR,
     AccuracyError,
     ContourSpec,
     PoleError,
@@ -304,7 +306,7 @@ def cmd_eval(args) -> int:
 def cmd_contour(args) -> int:
     family = _family_from_args(args)
     spec = ContourSpec(abscissa=args.abscissa, half_height=args.half_height,
-                       step=args.step, branch=args.branch)
+                       step=args.step)
     points = args.z or [0.5]
     worst_tail = 0.0
     worst_imag = 0.0
@@ -347,7 +349,8 @@ def cmd_compare(args) -> int:
 # ------------------------------------------------------------------ parser
 
 def _add_series_flags(sub) -> None:
-    sub.add_argument("--order", type=int, default=12)
+    sub.add_argument("--order", type=int,
+                     help="truncation order (default: the file's series_cutoff)")
     sub.add_argument("--root", type=int, choices=(1, 2), default=1)
     sub.add_argument("--c0", type=parse_rational, default=Fraction(0))
     sub.add_argument("--c1", type=parse_rational, default=Fraction(0))
@@ -389,12 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
         "contour", help="vertical-line quadrature diagnostics for a family")
     _add_family_flags(contour_p)
     contour_p.add_argument("--z", action="append", type=float)
-    contour_p.add_argument("--abscissa", type=float, default=0.5)
+    contour_p.add_argument("--abscissa", type=float,
+                           default=DEFAULT_CONTOUR.abscissa)
     contour_p.add_argument("--half-height", dest="half_height", type=float,
-                           default=40.0)
-    contour_p.add_argument("--step", type=float, default=0.05)
-    contour_p.add_argument("--branch", choices=("principal", "lower"),
-                           default="principal")
+                           default=DEFAULT_CONTOUR.half_height)
+    contour_p.add_argument("--step", type=float, default=DEFAULT_CONTOUR.step)
     contour_p.add_argument("--tol", type=float, default=1e-8)
     contour_p.set_defaults(func=cmd_contour)
 

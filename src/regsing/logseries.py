@@ -316,20 +316,23 @@ def evaluate(f: LogSeries, z: float) -> float:
     return total * z ** float(f.sigma)
 
 
-def weighted_norm_estimate(f: LogSeries, alpha: Scalar, z0: float, samples: int = 1000) -> float:
+_NORM_SAMPLES = 1000
+
+
+def weighted_norm_estimate(f: LogSeries, alpha: Scalar, z0: float) -> float:
     """Estimate of sup over 0 < z <= z0 of |z|^alpha |f(z)|.
 
-    Sampled on a geometric grid of `samples` points ending exactly at z0.
-    Diagnostic only: tight enough for contraction reports, not a certified
-    bound.
+    Sampled on a geometric grid of _NORM_SAMPLES points ending exactly at
+    z0.  Diagnostic only: tight enough for contraction reports, not a
+    certified bound.
     """
     if not 0 < z0 < 1:
         raise ValueError("need 0 < z0 < 1")
     a = float(alpha)
-    ratio = (1e-9) ** (1.0 / (samples - 1))  # grid spans [z0*1e-9, z0]
+    ratio = (1e-9) ** (1.0 / (_NORM_SAMPLES - 1))  # grid spans [z0*1e-9, z0]
     best = 0.0
     z = z0
-    for _ in range(samples):
+    for _ in range(_NORM_SAMPLES):
         v = abs(z**a * evaluate(f, z))
         if v > best:
             best = v

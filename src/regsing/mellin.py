@@ -186,7 +186,7 @@ def _nonpositive_int_param(x) -> bool:
 
 
 def _overflows(x) -> bool:
-    return not is_exact(x) and not math.isfinite(x)
+    return not is_exact(x) and not cmath.isfinite(x)
 
 
 def catalog_family(tag: str, **params) -> CatalogFamily:
@@ -333,29 +333,40 @@ def fractional_power_coeff(family: CatalogFamily, v) -> PowerData:
     the tests) to 1e-13 relative for Re v in (0, 4), |Im v| <= 3.  The
     logarithmic family is no hypergeometric term and keeps its digamma form,
     validated numerically rather than proven.
+
+    Raises AccuracyError when a float coefficient is not finite, or when a
+    gamma factor overflows a float on the way (large |v|).
     """
     n_int = _as_nonneg_int(v)
     if n_int is not None:
-        return next(islice(integer_powers(family), n_int, None))
-
-    v = complex(v)
-    if family.tag == "BesselLogSecond":
-        n = family.param("n")
-        sign = 1 if n % 2 == 0 else -1
-        scale = sign * 4.0 ** (n - v) / (4 ** n * math.factorial(n))
-        c1 = scale * _recip_gamma(1 + v - n) * _recip_gamma(1 + v)
-        c2 = -0.5 * scale * _recip_gamma(1 + v) * (
-            (EULER_GAMMA - digamma(1.0 + n) + digamma(1 + v))
-            * _recip_gamma(1 + v - n)
-            + _psi_over_gamma(1 + v - n))
-        return PowerData(c2, 2 * (v - n), c1)
-    form = family.gamma_form
-    coeff = form.scale * cmath.exp(v * form.log_k)
-    for t in form.tops:
-        coeff *= complex_gamma(t + v)
-    for b in form.bottoms:
-        coeff *= _recip_gamma(b + v)
-    return PowerData(coeff, form.base + form.step * v)
+        data = next(islice(integer_powers(family), n_int, None))
+    else:
+        v = complex(v)
+        try:
+            if family.tag == "BesselLogSecond":
+                n = family.param("n")
+                sign = 1 if n % 2 == 0 else -1
+                scale = sign * 4.0 ** (n - v) / (4 ** n * math.factorial(n))
+                c1 = scale * _recip_gamma(1 + v - n) * _recip_gamma(1 + v)
+                c2 = -0.5 * scale * _recip_gamma(1 + v) * (
+                    (EULER_GAMMA - digamma(1.0 + n) + digamma(1 + v))
+                    * _recip_gamma(1 + v - n)
+                    + _psi_over_gamma(1 + v - n))
+                data = PowerData(c2, 2 * (v - n), c1)
+            else:
+                form = family.gamma_form
+                coeff = form.scale * cmath.exp(v * form.log_k)
+                for t in form.tops:
+                    coeff *= complex_gamma(t + v)
+                for b in form.bottoms:
+                    coeff *= _recip_gamma(b + v)
+                data = PowerData(coeff, form.base + form.step * v)
+        except OverflowError as exc:
+            raise AccuracyError(f"A^{v} of {family.tag} overflows a float ({exc})") from exc
+    if _overflows(data.coefficient) or _overflows(data.log_coefficient):
+        raise AccuracyError(f"A^{v} of {family.tag} is not a finite float: coefficient "
+                            f"{data.coefficient}, log coefficient {data.log_coefficient}")
+    return data
 
 
 def integer_powers(family: CatalogFamily):
@@ -503,14 +514,26 @@ def residue_eval(family: CatalogFamily, z: float, terms: int = 60,
     decay slowly and the partial sum can be far off.  full_output=True
     returns a ResidueResult whose last_term shows how large the neglected
     tail still is.
+
+    Raises AccuracyError when a residue does not fit a float or the sum is
+    not finite, as when the coefficients outgrow a float within the first
+    `terms` steps.
     """
     total = 0.0 + 0.0j
     term = 0.0 + 0.0j
-    for k, data in enumerate(islice(integer_powers(family), max(terms, 0))):
-        term = evaluate_power(data, z)
-        total += term if k % 2 == 0 else -term
+    try:
+        for k, data in enumerate(islice(integer_powers(family), max(terms, 0))):
+            term = evaluate_power(data, z)
+            total += term if k % 2 == 0 else -term
+    except OverflowError as exc:
+        raise AccuracyError(f"a residue of {family.tag} at z = {z} overflows a "
+                            f"float ({exc})") from exc
     factor = family_target_factor(family, z)
-    value = (factor * total).real
+    scaled = factor * total
+    if not cmath.isfinite(scaled):
+        raise AccuracyError(f"the residue sum of {family.tag} at z = {z} is "
+                            f"not finite: {scaled}")
+    value = scaled.real
     if full_output:
         return ResidueResult(value=value, terms=terms, last_term=abs(factor * term))
     return value
@@ -518,8 +541,7 @@ def residue_eval(family: CatalogFamily, z: float, terms: int = 60,
 
 # ----------------------------------------------------------- the integrand
 
-def mellin_integrand(family: CatalogFamily, s: complex, z: float,
-                     branch: str = "principal") -> complex:
+def mellin_integrand(family: CatalogFamily, s: complex, z: float) -> complex:
     """Full line integrand so that (1/2 pi i) * integral ds = target value.
 
     Gamma(s) Gamma(1-s) (A^{-s} seed)(z) family_target_factor(z), with A^{-s}
@@ -529,13 +551,10 @@ def mellin_integrand(family: CatalogFamily, s: complex, z: float,
     |Im s| <= 40.  The logarithmic family takes fractional_power_coeff(family,
     -s) instead.
 
-    branch fixes the determination of log K for K < 0 (the (-1)^s factors
-    of the families whose series alternate through log(-z)): "principal"
-    uses +i pi, "lower" uses -i pi, so that lower(s) = conj(principal(conj
-    s)).  Residue sums are branch independent; the line values are not.
+    For K < 0 (the (-1)^s factors of the families whose series alternate
+    through log(-z)) log K is the principal log|K| + i pi.  The other
+    determination, -i pi, is the mirror image conj(integrand(conj s)).
     """
-    if branch not in ("principal", "lower"):
-        raise ValueError("branch must be 'principal' or 'lower'")
     s = complex(s)
     zf = float(z)
     if zf <= 0:
@@ -544,9 +563,8 @@ def mellin_integrand(family: CatalogFamily, s: complex, z: float,
         data = fractional_power_coeff(family, -s)
         return complex_gamma(s) * complex_gamma(1 - s) * evaluate_power(data, zf)
     form = family.gamma_form
-    log_k = form.log_k if branch == "principal" else form.log_k.conjugate()
     val = (complex_gamma(s) * form.scale
-           * cmath.exp((form.base - form.step * s) * math.log(zf) - s * log_k))
+           * cmath.exp((form.base - form.step * s) * math.log(zf) - s * form.log_k))
     if not form.cancels_one:
         val *= complex_gamma(1 - s)
     for t in form.tops:
@@ -564,15 +582,12 @@ class ContourSpec:
     abscissa: float = 0.5
     half_height: float = 40.0
     step: float = 0.05
-    branch: str = "principal"
 
     def __post_init__(self):
         if not 0.0 < self.abscissa < 1.0:
             raise ValueError("abscissa must lie in (0, 1)")
         if self.half_height <= 0 or self.step <= 0:
             raise ValueError("half_height and step must be positive")
-        if self.branch not in ("principal", "lower"):
-            raise ValueError("branch must be 'principal' or 'lower'")
 
 
 DEFAULT_CONTOUR = ContourSpec()
@@ -607,8 +622,7 @@ def contour_eval(family: CatalogFamily, z: float,
     count = int(math.floor(2 * T / h + 1e-9)) + 1
     if count < 3:
         raise ValueError("step too large for the requested half_height")
-    vals = [mellin_integrand(family, complex(a, -T + h * i), z,
-                             branch=spec.branch)
+    vals = [mellin_integrand(family, complex(a, -T + h * i), z)
             for i in range(count)]
     weights = [h] * count
     weights[0] = weights[-1] = 0.5 * h

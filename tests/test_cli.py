@@ -1,11 +1,18 @@
 """Command-line interface: problem-file parsing, exit codes, output formats."""
 
+import argparse
+import dataclasses
+import inspect
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
 
+import regsing
 from regsing.cli import (
     _FAMILY_CLI,
     ParseError,
@@ -202,6 +209,32 @@ def test_solve_output_matches_golden_bytes(name, mode, fmt, order, capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+@pytest.fixture
+def bessel_20_json(tmp_path):
+    path = tmp_path / "bessel-20.json"
+    path.write_text(json.dumps({**BESSEL_DOC, "series_cutoff": 20}))
+    return str(path)
+
+
+def _solve_rows(argv, capsys):
+    assert main(argv) == 0
+    return [int(ln.split()[0]) for ln in capsys.readouterr().out.splitlines()
+            if ln and not ln.startswith("#") and ln.split()[0].isdigit()]
+
+
+def test_order_defaults_to_the_files_series_cutoff(bessel_20_json, capsys):
+    solve = ["solve", "--problem", bessel_20_json, "--c0", "1"]
+    assert _solve_rows(solve, capsys) == list(range(0, 21, 2))
+    assert _solve_rows(solve + ["--order", "7"], capsys) == [0, 2, 4, 6]
+    evaluate = ["eval", "--problem", bessel_20_json, "--c0", "1", "--z", "0.9",
+                "--format", "csv"]
+    outputs = []
+    for order in ([], ["--order", "20"], ["--order", "12"]):
+        assert main(evaluate + order) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != outputs[2]
+
+
 def test_solve_csv_float_mode_changes_column(bessel_json, capsys):
     code = main(["solve", "--problem", bessel_json, "--c0", "1",
                  "--mode", "float", "--format", "csv"])
@@ -329,6 +362,19 @@ def test_eval_of_a_two_point_problem_has_no_disc(bessel_json, capsys):
     assert capsys.readouterr().out.startswith("psi(50.0) = ")
 
 
+def test_contour_residues_that_outgrow_a_float_exit_three(capsys):
+    # the exact coefficients of cos(10^20 z) do not fit a float after a few
+    # steps; that is an accuracy failure, not a solve-domain one
+    code = main(["contour", "--family", "cos", "--omega", "100000000000000000000",
+                 "--z", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "accuracy error: a residue of TrigHyp at z = 0.3 overflows a float "
+        "(integer division result too large for a float)\n")
+
+
 def test_bad_family_parameters_exit_two(capsys):
     assert main(["compare", "--family", "hyp1f1", "--a", "1/2"]) == 2
     assert main(["compare", "--family", "bessel_log", "--n", "1/2"]) == 2
@@ -432,3 +478,77 @@ def test_contour_bad_spec_exits_two(capsys):
                  "--abscissa", "1.5"])
     assert code == 2
     capsys.readouterr()
+
+
+# ----------------------------------------------------------------- surface
+
+def test_module_entry_runs_without_warnings():
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "regsing", "compare",
+         "--family", "exp", "--order", "12"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (
+        0, "max_coefficient_discrepancy = 0\n", "")
+
+
+def _settable_options():
+    """(owner, name) of every value a caller can set: the defaulted
+    parameters of the callables in regsing.__all__, the defaulted fields of
+    its dataclasses, and the option strings of each CLI subcommand."""
+    found = set()
+    for name in regsing.__all__:
+        obj = getattr(regsing, name)
+        if not callable(obj):
+            continue
+        if dataclasses.is_dataclass(obj):
+            found |= {(name, f.name) for f in dataclasses.fields(obj)
+                      if f.default is not dataclasses.MISSING
+                      or f.default_factory is not dataclasses.MISSING}
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except (TypeError, ValueError):
+            continue
+        found |= {(name, p.name) for p in params if p.default is not p.empty}
+    subs = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    for command, sub in subs.choices.items():
+        found |= {(command, opt) for action in sub._actions
+                  for opt in action.option_strings}
+    return found
+
+
+# may shrink, never grow
+OPTIONS_INVENTORY = {
+    ("ContourSpec", "abscissa"), ("ContourSpec", "half_height"),
+    ("ContourSpec", "step"),
+    ("OdeProblem", "rhs"), ("OdeProblem", "series_cutoff"),
+    ("PowerData", "log_coefficient"),
+    ("Solution", "_log_stream_args"),
+    ("contour_eval", "spec"), ("contour_eval", "tol"),
+    ("contour_eval", "full_output"),
+    ("residue_eval", "terms"), ("residue_eval", "full_output"),
+    ("family_operator", "order"), ("make_f0", "order"),
+    ("map_gegenbauer", "series_cutoff"), ("solve", "order"),
+    ("solve_log_second", "order"), ("struve_series", "scaled"),
+    *(("solve", opt) for opt in (
+        "-h", "--help", "--problem", "--order", "--root", "--c0", "--c1",
+        "--mode", "--format", "--dump-problem")),
+    *(("eval", opt) for opt in (
+        "-h", "--help", "--problem", "--order", "--root", "--c0", "--c1",
+        "--mode", "--format", "--z")),
+    *(("contour", opt) for opt in (
+        "-h", "--help", "--family", "--nu", "--a", "--b", "--c", "--n",
+        "--omega", "--z", "--abscissa", "--half-height", "--step", "--tol")),
+    *(("compare", opt) for opt in (
+        "-h", "--help", "--family", "--nu", "--a", "--b", "--c", "--n",
+        "--omega", "--order", "--tol", "--z")),
+}
+
+
+def test_options_only_shrink():
+    found = _settable_options()
+    assert {("ContourSpec", "step"), ("contour", "--tol")} <= found
+    assert found <= OPTIONS_INVENTORY
