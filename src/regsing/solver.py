@@ -15,11 +15,12 @@ horizon N) being subtracted from the rows above.  Every nonzero coefficient
 costs one application of A, so a solve is linear in N up to the cost of the
 growing rationals.
 
-Solution.iterations_used is the Neumann iteration count: the longest chain
-of A applications linking an entry of g to a nonzero coefficient of f, plus
-the one application that finds nothing more below the horizon, capped at N
-(0 when g vanishes).  It is the number of terms (-A)^j g the Neumann loop
-would have applied A to.
+Solution.iterations_used is the Neumann iteration count: the number of
+terms (-A)^j g the Neumann loop would have applied A to, capped at N (0 when
+g vanishes).  Forward substitution merges those terms, so it reads the
+count off the chains of A applications that link g to each coefficient
+below the horizon: one more than the longest chain whose terms do not
+cancel (_forward_substitute).
 
 The residual check substitutes psi = z^lambda f back into the original
 equation, read from the slots of its normal form (OdeProblem.slots) and
@@ -95,38 +96,102 @@ def neumann_apply_resolvent(spec: OperatorSpec, g: LogSeries, order: int) -> Log
 def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[LogSeries, int]:
     # One pending row per m, visited in ascending order: f[m,k] is final when
     # row m is reached, and its image under A only touches rows above m.
-    # Each pending entry carries the longest chain of A applications that
-    # reaches it from g (the deepest chain is the Neumann iteration count),
-    # and the base exponent and index it first arrived with: applying A to
-    # the monomial in that form repeats the Neumann loop's float arithmetic,
-    # so a float chain of single monomials comes out bit for bit the same.
+    # An entry keeps the base exponent and index it first arrived with:
+    # applying A to the monomial in that form repeats the Neumann loop's
+    # float arithmetic, so a float chain of single monomials comes out bit
+    # for bit the same.
+    #
+    # Each entry also carries its depth, the longest chain of A applications
+    # that reaches it from g, and its share, the part of its value that came
+    # along chains of that length: the Neumann term (-A)^depth g there.  The
+    # deepest entry gives the Neumann iteration count as long as no share is
+    # zero; if one is, its terms cancel and the count is left to the Neumann
+    # loop (_neumann_count).  A share is None while it is the whole value,
+    # or a link (source, ci, c): the source's share times -ci / c, where A
+    # took the source's value c to ci.  A link is never zero, so shares are
+    # only multiplied out where two chains of the deepest length meet.
     n = min(order, g.order)
     rows: list[dict[int, list]] = [{} for _ in range(n + 1)]   # k -> entry
     for (m, k), c in g.coeffs.items():
         if m <= n:
-            rows[m][k] = [c, 0, g.sigma, m]    # value, depth, base, index
+            rows[m][k] = [c, 0, None, g.sigma, m]    # value, depth, share, base, index
     coeffs = {}
     deepest = -1
+    counted = True
     for m, row in enumerate(rows):
-        for k, (c, depth, base, index) in row.items():
-            if c == 0:
+        for k, entry in row.items():
+            c, depth, share, base, index = entry
+            if counted:
+                counted = isinstance(share, tuple) or (c if share is None else share) != 0
+                deepest = max(deepest, depth)
+            whole = share is None or not counted
+            live = c != 0
+            if not live and whole:
                 continue
-            coeffs[(m, k)] = c
-            deepest = max(deepest, depth)
-            image = apply_A(spec, LogSeries(base, n, {(index, k): c}))
+            if live:
+                coeffs[(m, k)] = c
+            # a zero value with a share still passes the share on: its unit
+            # image carries it, and adds nothing to the values
+            unit = c if live else 1
+            image = apply_A(spec, LogSeries(base, n, {(index, k): unit}))
             offset = _gap(g.sigma, image.sigma)
             for (mi, ki), ci in image.coeffs.items():
                 target = mi + offset
                 if target > n:
                     continue
-                entry = rows[target].get(ki)
-                if entry is None:
-                    rows[target][ki] = [-ci, depth + 1, image.sigma, mi]
-                else:
-                    entry[0] -= ci
-                    entry[1] = max(entry[1], depth + 1)
-    used = 0 if deepest < 0 else min(n, deepest + 1)
-    return LogSeries(g.sigma, n, coeffs), used
+                there = rows[target].get(ki)
+                if there is None:
+                    rows[target][ki] = [-ci if live else 0, depth + 1,
+                                        None if whole else (entry, ci, unit),
+                                        image.sigma, mi]
+                    continue
+                if counted:
+                    if depth + 1 == there[1]:
+                        if not whole or there[2] is not None:
+                            there[2] = _resolve(there[2], there[0]) + (
+                                -ci if whole else _resolve((entry, ci, unit), None))
+                    elif depth + 1 > there[1]:
+                        there[1], there[2] = depth + 1, -ci if whole else (entry, ci, unit)
+                    elif there[2] is None:
+                        there[2] = there[0]
+                if live:
+                    there[0] -= ci
+    f = LogSeries(g.sigma, n, coeffs)
+    if not counted:
+        return f, _neumann_count(spec, g, n)
+    return f, 0 if deepest < 0 else min(n, deepest + 1)
+
+
+def _resolve(share, value):
+    """A share as a number: `value` when it is None, a link multiplied out
+    down its chain (each entry on the way keeps the number its share comes
+    to)."""
+    if share is None:
+        return value
+    if not isinstance(share, tuple):
+        return share
+    links = [share]
+    while isinstance(links[-1][0][2], tuple):
+        links.append(links[-1][0][2])
+    source = links[-1][0]
+    out = source[0] if source[2] is None else source[2]
+    for i in range(len(links) - 1, -1, -1):
+        out = -(out * links[i][1]) / links[i][2]
+        if i:
+            links[i - 1][0][2] = out
+    return out
+
+
+def _neumann_count(spec: OperatorSpec, g: LogSeries, n: int) -> int:
+    """The Neumann iteration count, one term (-A)^j g at a time: the slow
+    path for a solve in which the terms of one coefficient's longest chains
+    cancel."""
+    term = truncate(g, n)
+    used = 0
+    while used < n and not term.is_zero():
+        used += 1
+        term = truncate(apply_A(spec, term), n - used)
+    return used
 
 
 def _driving_term(problem: OdeProblem, spec: OperatorSpec, c0: Scalar, c1: Scalar,

@@ -167,6 +167,32 @@ def test_resolvent_matches_neumann_loop_on_random_problems(problem, root, seed):
     assert sol.iterations_used == used
 
 
+# random problems whose Neumann terms cancel in some coefficient: terms of
+# different depths summing to zero ("across"), and the longest chains into
+# one coefficient cancelling among themselves ("within", where the count
+# falls back to the Neumann loop)
+@pytest.mark.parametrize("kind, p, q, order, root, seed, within", [
+    ("three_point", {-1: Fr(2, 3), 1: 1}, {-2: 0, 0: Fr(-1, 2)}, 4, 1, (0, 1), False),
+    ("three_point", {-1: Fr(2, 3), 1: 1}, {-2: 0, 0: Fr(-1, 2)}, 4, 2, (1, 0), False),
+    ("two_point", {-1: Fr(-5, 3), 0: Fr(1, 3)}, {-2: Fr(5, 3), 1: Fr(-1, 2)}, 7, 1, (0, 1), False),
+    ("two_point", {-1: Fr(4, 3), 0: Fr(-1)}, {-2: Fr(-2, 3), 0: Fr(1)}, 14, 2, (1, 0), False),
+    ("two_point", {-1: Fr(3, 2), 1: Fr(1)}, {-2: Fr(-3), 1: Fr(1, 2)}, 33, 1, (0, 1), True),
+    ("two_point", {-1: Fr(3, 2), 1: Fr(-1, 2)}, {-2: Fr(-3), 1: Fr(1)}, 15, 2, (1, 0), True),
+], ids=["across-4-root1", "across-4-root2", "across-7", "across-14", "within-33", "within-15"])
+def test_iteration_count_survives_cancelling_terms(kind, p, q, order, root, seed, within,
+                                                   monkeypatch):
+    problem = OdeProblem(kind, p, q, series_cutoff=order)
+    slow = []
+    real = regsing.solver._neumann_count
+    monkeypatch.setattr(regsing.solver, "_neumann_count",
+                        lambda *args: slow.append(args) or real(*args))
+    sol = solve(problem, root, *seed)
+    f, used = _oracle_solve(problem, root, *seed, order)
+    assert sol.f.coeffs == f.coeffs
+    assert sol.iterations_used == used
+    assert bool(slow) == within
+
+
 @pytest.mark.parametrize("order", [30, 60])
 @pytest.mark.parametrize("case", CATALOG_CASES, ids=lambda c: c[0])
 def test_float_resolvent_agrees_with_neumann_loop(case, order):
