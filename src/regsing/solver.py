@@ -232,10 +232,7 @@ def solve(problem: OdeProblem, root_choice: int, c0: Scalar, c1: Scalar,
     psi = shift_exponent(f, spec.lam)
     sol = Solution(lam=spec.lam, f=f, psi=psi, iterations_used=used,
                    residual_leading_order=None, mode=psi.mode)
-    lead = residual(problem, sol)
-    if lead is None:
-        return sol
-    return replace(sol, residual_leading_order=as_int(lead - sol.lam - f.sigma))
+    return replace(sol, residual_leading_order=_residual_order(problem, sol))
 
 
 def residual(problem: OdeProblem, sol: Solution) -> Scalar | None:
@@ -249,18 +246,28 @@ def residual(problem: OdeProblem, sol: Solution) -> Scalar | None:
     primitives (_substitute_composed).  Neither goes through transform or
     A, so the residual stays a check of the solve.
     """
+    order = _residual_order(problem, sol)
+    return None if order is None else sol.f.sigma + sol.lam + order
+
+
+def _residual_order(problem: OdeProblem, sol: Solution) -> int | None:
+    """The residual's exponent above psi's base, read as an integer row of R
+    (R is based at psi's base - w, or lower with an rhs), so a float lambda
+    cannot blur it; None when no row is nonzero."""
     exact = (problem.mode == "exact" and is_exact(sol.lam)
              and sol.f.mode == "exact")
     r = _substitute_exact(problem, sol) if exact else _substitute_composed(problem, sol)
     if problem.rhs is not None and not problem.rhs.is_zero():
         r = linear_combine(1, r, -1, truncate(problem.rhs, r.order))
     if r.mode == "exact":
-        nonzero = [r.sigma + m for (m, _k), c in r.coeffs.items() if c != 0]
+        rows = [m for (m, _k), c in r.coeffs.items() if c != 0]
     else:
         scale = max((abs(float(c)) for c in sol.f.coeffs.values()), default=1.0)
         tol = 1e-10 * max(1.0, scale)
-        nonzero = [r.sigma + m for (m, _k), c in r.coeffs.items() if abs(float(c)) > tol]
-    return min(nonzero) if nonzero else None
+        rows = [m for (m, _k), c in r.coeffs.items() if abs(float(c)) > tol]
+    if not rows:
+        return None
+    return min(rows) + _gap(sol.f.sigma + sol.lam, r.sigma)
 
 
 def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:

@@ -1,5 +1,6 @@
 """End-to-end solver tests against the catalog oracles."""
 
+import functools
 import hashlib
 import math
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import regsing.operators
@@ -807,11 +808,23 @@ def _fingerprint_cases():
                float(c0), float(c1), order)
 
 
-def _fingerprint_line(case_id, problem, root, c0, c1, order):
-    try:
-        sol = solve(problem, root, c0, c1, order=order)
-    except (ArithmeticError, ValueError) as exc:
-        return f"{case_id} raises {type(exc).__name__}"
+@functools.cache
+def _fingerprint_solves():
+    """(id, problem, Solution or the exception the solve raised) per case,
+    solved once for the tests below."""
+    out = []
+    for case_id, problem, root, c0, c1, order in _fingerprint_cases():
+        try:
+            sol = solve(problem, root, c0, c1, order=order)
+        except (ArithmeticError, ValueError) as exc:
+            sol = exc
+        out.append((case_id, problem, sol))
+    return tuple(out)
+
+
+def _fingerprint_line(case_id, sol):
+    if isinstance(sol, Exception):
+        return f"{case_id} raises {type(sol).__name__}"
     f = sol.f
     text = repr((f.sigma, f.order, sorted(f.coeffs.items())))
     digest = hashlib.sha256(text.encode()).hexdigest()
@@ -819,7 +832,7 @@ def _fingerprint_line(case_id, problem, root, c0, c1, order):
 
 
 def _fingerprint_lines():
-    return [_fingerprint_line(*case) for case in _fingerprint_cases()]
+    return [_fingerprint_line(case_id, sol) for case_id, _, sol in _fingerprint_solves()]
 
 
 def test_solve_results_match_fingerprints():
@@ -827,6 +840,42 @@ def test_solve_results_match_fingerprints():
     got = _fingerprint_lines()
     assert [line.split()[0] for line in got] == [line.split()[0] for line in want]
     assert [line for line in got if line not in want] == []
+
+
+def _residual_order_mismatches(cases):
+    """The cases whose residual_leading_order disagrees with residual(): one
+    is None and the other is not, or a -float twin's order differs from its
+    -exact twin's where both are not None."""
+    bad, orders = [], {}
+    for case_id, problem, sol in cases:
+        if isinstance(sol, Exception):
+            continue
+        order = sol.residual_leading_order
+        if (residual(problem, sol) is None) != (order is None):
+            bad.append(case_id)
+        orders[case_id] = order
+    for case_id, order in orders.items():
+        twin = orders.get(case_id.removesuffix("-float") + "-exact")
+        if case_id.endswith("-float") and None not in (order, twin) and order != twin:
+            bad.append(case_id)
+    return bad
+
+
+def test_residual_order_agrees_with_residual_on_fingerprint_cases():
+    assert _residual_order_mismatches(_fingerprint_solves()) == []
+
+
+@given(random_problems(), st.sampled_from((1, 2)),
+       st.sampled_from(((1, 0), (0, 1))))
+@settings(max_examples=60, deadline=None)
+@example(OdeProblem("three_point", {-1: Fr(1, 3), 0: Fr(1)}, {-2: Fr(0), -1: Fr(1)},
+                    series_cutoff=32), 1, (1, 0))
+def test_residual_order_agrees_with_residual_on_random_float_problems(problem, root, seed):
+    c0, c1 = seed
+    fl = _to_float_problem(problem)
+    cases = [("case-exact", problem, solve(problem, root, c0, c1)),
+             ("case-float", fl, solve(fl, root, float(c0), float(c1)))]
+    assert _residual_order_mismatches(cases) == []
 
 
 if __name__ == "__main__":
