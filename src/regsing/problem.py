@@ -75,11 +75,6 @@ class OdeProblem:
         return self.q_coeffs.get(i, 0)
 
     @property
-    def mode(self) -> str:
-        rhs = () if self.rhs is None else (self.rhs.sigma, *self.rhs.coeffs.values())
-        return scalar_mode(*self.p_coeffs.values(), *self.q_coeffs.values(), *rhs)
-
-    @property
     def weight(self) -> int:
         """The power of z that takes the equation to its normal form."""
         return 2 if self.kind == "two_point" else 1

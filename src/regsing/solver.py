@@ -24,13 +24,16 @@ cancel (_forward_substitute).
 
 The residual check substitutes psi = z^lambda f back into the original
 equation, read from the slots of its normal form (OdeProblem.slots) and
-divided by z^w.  In exact mode each monomial c z^s log^k z of psi meets
-each slot in closed form (logseries.euler_image, small integers) and c is
-multiplied in once per output term, so R is accumulated term by term
-without building psi', psi'' or any product series.  It never calls
-transform or A, so it checks the solve; transform reads the same slots, and
-the tests hold both against the per-kind formulas they replaced.  Float mode
-keeps the composition from the series primitives.
+divided by z^w.  Each monomial c z^s log^k z of psi meets each slot in
+closed form (logseries.euler_image, small integers) and c is multiplied in
+once per output term, so R is accumulated term by term without building
+psi', psi'' or any product series.  Float solves run the same kernel: a
+float lambda and float slots are dyadic rationals, read exactly, and only
+the scale of each term is rounded.  The check never calls transform or A,
+so it checks the solve; transform reads the same slots, and the tests hold
+both against the per-kind formulas they replaced.  In float mode a term
+counts only above 1e-10 max|f|, so a residual order of None there means
+that no term is left above that, not that the series terminates.
 """
 
 from __future__ import annotations
@@ -44,18 +47,16 @@ from itertools import islice
 from .logseries import (
     LogSeries,
     _gap,
-    differentiate,
     euler_image,
     integer_slots,
     linear_combine,
-    mul_poly,
     shift_exponent,
     truncate,
     weighted_norm_estimate,
 )
 from .operators import SingularTerm, apply_A, apply_L, make_f0
 from .problem import OdeProblem, OperatorSpec, indicial, transform
-from .scalars import Scalar, as_int, is_exact
+from .scalars import Scalar, as_int, mode as scalar_mode
 
 
 class IndexMismatch(ArithmeticError):
@@ -232,31 +233,27 @@ def solve(problem: OdeProblem, root_choice: int, c0: Scalar, c1: Scalar,
     psi = shift_exponent(f, spec.lam)
     sol = Solution(lam=spec.lam, f=f, psi=psi, iterations_used=used,
                    residual_leading_order=None, mode=psi.mode)
-    return replace(sol, residual_leading_order=_residual_order(problem, sol))
+    lead = residual(problem, sol)
+    if lead is None:
+        return sol
+    # an integer row of R above psi's base; _gap absorbs a float base's rounding
+    return replace(sol, residual_leading_order=_gap(psi.sigma, lead))
 
 
 def residual(problem: OdeProblem, sol: Solution) -> Scalar | None:
     """Absolute z-exponent of the lowest nonvanishing coefficient left after
-    substituting the truncated psi back into the equation, or None if the
-    substitution vanishes identically on the visible grid (terminating
-    solutions).  Success contract: at least lambda + N - 1.
+    substituting the truncated psi back into the equation, or None if no
+    coefficient is left on the visible grid.  Success contract: at least
+    lambda + N - 1.
 
-    Exact solutions are substituted monomial by monomial, straight from the
-    normal form (_substitute_exact); float ones through the series
-    primitives (_substitute_composed).  Neither goes through transform or
-    A, so the residual stays a check of the solve.
+    Exact and float solutions alike are substituted monomial by monomial,
+    straight from the normal form (_substitute_exact), never through
+    transform or A, so the residual stays a check of the solve.  An exact
+    None means the substitution vanishes identically (a terminating
+    solution); a float None only means that no coefficient exceeds
+    1e-10 * max|f|, as when the truncation residual is below that.
     """
-    order = _residual_order(problem, sol)
-    return None if order is None else sol.f.sigma + sol.lam + order
-
-
-def _residual_order(problem: OdeProblem, sol: Solution) -> int | None:
-    """The residual's exponent above psi's base, read as an integer row of R
-    (R is based at psi's base - w, or lower with an rhs), so a float lambda
-    cannot blur it; None when no row is nonzero."""
-    exact = (problem.mode == "exact" and is_exact(sol.lam)
-             and sol.f.mode == "exact")
-    r = _substitute_exact(problem, sol) if exact else _substitute_composed(problem, sol)
+    r = _substitute_exact(problem, sol)
     if problem.rhs is not None and not problem.rhs.is_zero():
         r = linear_combine(1, r, -1, truncate(problem.rhs, r.order))
     if r.mode == "exact":
@@ -267,17 +264,27 @@ def _residual_order(problem: OdeProblem, sol: Solution) -> int | None:
         rows = [m for (m, _k), c in r.coeffs.items() if abs(float(c)) > tol]
     if not rows:
         return None
-    return min(rows) + _gap(sol.f.sigma + sol.lam, r.sigma)
+    # R is based at psi's base - w, or lower with an rhs: its rows are
+    # integers above psi's base, in either mode
+    base = sol.f.sigma + sol.lam
+    return base + _gap(base, r.sigma) + min(rows)
 
 
 def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
-    """The left-hand side at psi, as _substitute_composed builds it: each
-    monomial c z^s log^k z of psi meets every slot of the normal form in
-    small integers (euler_image), then one Fraction per output term, times c."""
+    """The left-hand side of the equation at the truncated psi (the normal
+    form divided by z^w): each monomial c z^s log^k z of psi meets every slot of the normal form
+    in small integers (euler_image), then is scaled by w/d once per output
+    term.  A float is a dyadic rational, so a float lambda or slot is read
+    exactly; a float solve scales by the float w / d, which Python's int
+    division rounds correctly (float(Fraction(w, d)) bit for bit, without
+    the gcd), and an exact one by the Fraction."""
     den, slots = integer_slots(problem.slots)
     f = sol.f
-    horizon = f.order + problem.series_cutoff + 3    # as the composed pad
-    base = f.sigma + sol.lam                         # psi's base, s = sq/q
+    # above every row psi reaches (m <= f.order, and transform caps the
+    # highest slot at N + 1), so no product term is clipped
+    horizon = f.order + problem.series_cutoff + 3
+    exact = scalar_mode(sol.lam, f.sigma, *f.coeffs.values()) == "exact"
+    base = Fraction(f.sigma + sol.lam)               # psi's base, s = sq/q
     q = base.denominator
     d = den * q * q
     out: dict[tuple[int, int], Scalar] = {}
@@ -289,28 +296,8 @@ def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
             for j, w in enumerate(euler_image(sq, q, k, a2, a1, a0)):
                 if w:
                     key = (m + o, j)
-                    out[key] = out.get(key, 0) + c * Fraction(w, d)
+                    out[key] = out.get(key, 0) + c * (Fraction(w, d) if exact else w / d)
     return LogSeries(base - problem.weight, horizon, out)
-
-
-def _substitute_composed(problem: OdeProblem, sol: Solution) -> LogSeries:
-    """The left-hand side of the equation at the truncated psi, composed from
-    series primitives: the float path, and the oracle of _substitute_exact.
-
-    Column j = 0, 1, 2 of the slots, (a2, a1, a0), multiplies psi'', psi'
-    and psi by sum_o a z^o; z^{2-j-w} then brings the product to the scale
-    of the equation.  Slot 0's psi'' sets the horizon of R."""
-    pad = problem.series_cutoff + 3
-    f = truncate(sol.f, sol.f.order + pad)   # the truncation itself, exactly
-    psi = shift_exponent(f, sol.lam)
-    d1 = differentiate(psi)
-    r = None
-    for j, series in enumerate((differentiate(d1), d1, psi)):
-        poly = [(o, a[j]) for o, *a in problem.slots if a[j] != 0]
-        if poly:
-            part = shift_exponent(mul_poly(series, poly), 2 - j - problem.weight)
-            r = part if r is None else linear_combine(1, r, 1, part)
-    return r
 
 
 def log_second_recurrence(n: int):

@@ -600,16 +600,35 @@ def test_residual_on_log_solution():
     assert sol.residual_leading_order is None or sol.residual_leading_order >= 9
 
 
+def _substitute_composed(problem, sol):
+    """The left-hand side of the equation at the truncated psi, composed from
+    series primitives: the float path, and the oracle of _substitute_exact.
+
+    Column j = 0, 1, 2 of the slots, (a2, a1, a0), multiplies psi'', psi'
+    and psi by sum_o a z^o; z^{2-j-w} then brings the product to the scale
+    of the equation.  Slot 0's psi'' sets the horizon of R."""
+    pad = problem.series_cutoff + 3
+    f = truncate(sol.f, sol.f.order + pad)   # the truncation itself, exactly
+    psi = shift_exponent(f, sol.lam)
+    d1 = differentiate(psi)
+    r = None
+    for j, series in enumerate((differentiate(d1), d1, psi)):
+        poly = [(o, a[j]) for o, *a in problem.slots if a[j] != 0]
+        if poly:
+            part = shift_exponent(mul_poly(series, poly), 2 - j - problem.weight)
+            r = part if r is None else linear_combine(1, r, 1, part)
+    return r
+
+
 def _assert_residual_kernel_matches(problem, sol):
     """The exact substitution equals the composed one, and residual reports
     the same exponent through either; returns that exponent."""
     kernel = regsing.solver._substitute_exact(problem, sol)
-    oracle = regsing.solver._substitute_composed(problem, sol)
+    oracle = _substitute_composed(problem, sol)
     assert kernel.coeffs == oracle.coeffs
     assert (kernel.sigma, kernel.order) == (oracle.sigma, oracle.order)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regsing.solver, "_substitute_exact",
-                   regsing.solver._substitute_composed)
+        mp.setattr(regsing.solver, "_substitute_exact", _substitute_composed)
         composed = residual(problem, sol)
     lead = residual(problem, sol)
     assert lead == composed
@@ -661,6 +680,12 @@ def _substitute_composed_by_kind(problem, sol):
     return r
 
 
+# a float draw's coefficients may differ from the oracle's by rounding, up
+# to this tolerance relative to max(1, max|f|), the scale on which residual
+# counts a term as nonzero
+FLOAT_SUBSTITUTION_RTOL = 1e-11
+
+
 @given(random_problems(), st.sampled_from((1, 2)),
        st.sampled_from(((1, 0), (0, 1))), st.booleans())
 @settings(max_examples=60, deadline=None)
@@ -670,10 +695,22 @@ def test_composed_substitution_matches_the_per_kind_oracle(problem, root, seed, 
         problem, c0, c1 = _to_float_problem(problem), float(c0), float(c1)
     sol = solve(problem, root, c0, c1)
     assert sol.mode == ("float" if floats else "exact")
-    got = regsing.solver._substitute_composed(problem, sol)
+    got = regsing.solver._substitute_exact(problem, sol)
     want = _substitute_composed_by_kind(problem, sol)
-    assert got.coeffs == want.coeffs
-    assert (got.sigma, got.order) == (want.sigma, want.order)
+    if floats:
+        scale = max([1.0, *(abs(c) for c in sol.f.coeffs.values())])
+        for key in got.coeffs.keys() | want.coeffs.keys():
+            assert (abs(got.coefficient(*key) - want.coefficient(*key))
+                    <= FLOAT_SUBSTITUTION_RTOL * scale), key
+        assert got.sigma == pytest.approx(want.sigma, abs=1e-12)
+        assert got.order == want.order
+    else:
+        assert got.coeffs == want.coeffs
+        assert (got.sigma, got.order) == (want.sigma, want.order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regsing.solver, "_substitute_exact", _substitute_composed_by_kind)
+        oracle_lead = residual(problem, sol)
+    assert residual(problem, sol) == oracle_lead
 
 
 @pytest.mark.parametrize("order", [12, 60])
@@ -842,27 +879,23 @@ def test_solve_results_match_fingerprints():
     assert [line for line in got if line not in want] == []
 
 
-def _residual_order_mismatches(cases):
-    """The cases whose residual_leading_order disagrees with residual(): one
-    is None and the other is not, or a -float twin's order differs from its
-    -exact twin's where both are not None."""
-    bad, orders = [], {}
-    for case_id, problem, sol in cases:
-        if isinstance(sol, Exception):
-            continue
-        order = sol.residual_leading_order
-        if (residual(problem, sol) is None) != (order is None):
-            bad.append(case_id)
-        orders[case_id] = order
-    for case_id, order in orders.items():
-        twin = orders.get(case_id.removesuffix("-float") + "-exact")
-        if case_id.endswith("-float") and None not in (order, twin) and order != twin:
-            bad.append(case_id)
-    return bad
+def _order_agrees_with_residual(problem, sol):
+    """residual_leading_order is None exactly when residual() is."""
+    return (residual(problem, sol) is None) == (sol.residual_leading_order is None)
 
 
 def test_residual_order_agrees_with_residual_on_fingerprint_cases():
-    assert _residual_order_mismatches(_fingerprint_solves()) == []
+    solved = {case_id: (problem, sol) for case_id, problem, sol in _fingerprint_solves()
+              if not isinstance(sol, Exception)}
+    bad = [case_id for case_id, (problem, sol) in solved.items()
+           if not _order_agrees_with_residual(problem, sol)]
+    for case_id, (_, sol) in solved.items():
+        twin = solved.get(case_id.removesuffix("-float") + "-exact")
+        if case_id.endswith("-float") and twin is not None:
+            orders = (sol.residual_leading_order, twin[1].residual_leading_order)
+            if None not in orders and orders[0] != orders[1]:
+                bad.append(case_id)
+    assert bad == []
 
 
 @given(random_problems(), st.sampled_from((1, 2)),
@@ -873,9 +906,19 @@ def test_residual_order_agrees_with_residual_on_fingerprint_cases():
 def test_residual_order_agrees_with_residual_on_random_float_problems(problem, root, seed):
     c0, c1 = seed
     fl = _to_float_problem(problem)
-    cases = [("case-exact", problem, solve(problem, root, c0, c1)),
-             ("case-float", fl, solve(fl, root, float(c0), float(c1)))]
-    assert _residual_order_mismatches(cases) == []
+    exact, sol = solve(problem, root, c0, c1), solve(fl, root, float(c0), float(c1))
+    assert _order_agrees_with_residual(problem, exact)
+    assert _order_agrees_with_residual(fl, sol)
+    want, got = exact.residual_leading_order, sol.residual_leading_order
+    if None in (want, got) or got == want:
+        return
+    # the float check counts a term only above 1e-10 max|f|, so it may pass
+    # over the exact residual's lowest rows where they are that small (about
+    # 1 draw in 1000), and over no other row
+    tol = 1e-10 * max([1.0, *(abs(c) for c in sol.f.coeffs.values())])
+    r = regsing.solver._substitute_exact(problem, exact)
+    skipped = [abs(c) for (m, _k), c in r.coeffs.items() if m - problem.weight < got]
+    assert got > want and max(skipped) < 2 * tol
 
 
 if __name__ == "__main__":
