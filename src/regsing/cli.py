@@ -263,16 +263,22 @@ def _family_solver_series(name: str, fam, order: int):
 # ---------------------------------------------------------------- commands
 
 def _solve_file(args, dump=None):
-    """(problem, Solution) of --problem: parsed, written to `dump` when
-    given, taken to float in --mode float, and solved from --c0/--c1."""
+    """(problem, Solution) of --problem: the problem as parsed, written to
+    `dump` when given, and its solution in --mode."""
     problem = parse_problem(args.problem)
     if dump:
         dump_problem(problem, dump)
+    return problem, _solve_in(args.mode, problem, args)
+
+
+def _solve_in(mode: str, problem: OdeProblem, args):
+    """The solution from --c0/--c1, with problem and seeds taken to float
+    in float mode."""
     c0, c1 = args.c0, args.c1
-    if args.mode == "float":
+    if mode == "float":
         problem = _to_float_problem(problem)
         c0, c1 = float(c0), float(c1)
-    return problem, solve(problem, args.root, c0, c1, order=args.order)
+    return solve(problem, args.root, c0, c1, order=args.order)
 
 
 def cmd_solve(args) -> int:
@@ -290,9 +296,14 @@ def cmd_eval(args) -> int:
     if any(z <= 0 for z in points):
         raise DomainError(f"series evaluation needs z > 0, got {min(points)}")
     outside = [z for z in points if z >= problem.radius]
-    if outside and sol.residual_leading_order is not None:
-        raise DomainError(f"z = {outside[0]} is outside the disc |z| < "
-                          f"{problem.radius} of a series that does not terminate")
+    # whether the series terminates is a property of the equation and the
+    # seeds: a float solve's None only says its residual is under the float
+    # tolerance, so the exact solve decides
+    if outside:
+        exact = sol if args.mode == "exact" else _solve_in("exact", problem, args)
+        if exact.residual_leading_order is not None:
+            raise DomainError(f"z = {outside[0]} is outside the disc |z| < "
+                              f"{problem.radius} of a series that does not terminate")
     if args.format == "csv":
         print("z,value")
         for z in points:

@@ -554,6 +554,9 @@ def mellin_integrand(family: CatalogFamily, s: complex, z: float) -> complex:
     For K < 0 (the (-1)^s factors of the families whose series alternate
     through log(-z)) log K is the principal log|K| + i pi.  The other
     determination, -i pi, is the mirror image conj(integrand(conj s)).
+
+    Raises AccuracyError when a factor overflows a float, as K^{-s} does
+    for K < 0 once pi |Im s| passes about 709.
     """
     s = complex(s)
     zf = float(z)
@@ -563,14 +566,18 @@ def mellin_integrand(family: CatalogFamily, s: complex, z: float) -> complex:
         data = fractional_power_coeff(family, -s)
         return complex_gamma(s) * complex_gamma(1 - s) * evaluate_power(data, zf)
     form = family.gamma_form
-    val = (complex_gamma(s) * form.scale
-           * cmath.exp((form.base - form.step * s) * math.log(zf) - s * form.log_k))
-    if not form.cancels_one:
-        val *= complex_gamma(1 - s)
-    for t in form.tops:
-        val *= complex_gamma(t - s)
-    for b in form.line_bottoms:
-        val *= _recip_gamma(b - s)
+    try:
+        val = (complex_gamma(s) * form.scale
+               * cmath.exp((form.base - form.step * s) * math.log(zf) - s * form.log_k))
+        if not form.cancels_one:
+            val *= complex_gamma(1 - s)
+        for t in form.tops:
+            val *= complex_gamma(t - s)
+        for b in form.line_bottoms:
+            val *= _recip_gamma(b - s)
+    except OverflowError as exc:
+        raise AccuracyError(f"the integrand of {family.tag} at s = {s} overflows a "
+                            f"float ({exc})") from exc
     return val * family_target_factor(family, zf)
 
 

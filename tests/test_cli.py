@@ -356,6 +356,21 @@ def test_eval_of_a_terminating_series_is_not_refused(tmp_path, capsys):
         assert capsys.readouterr().out == "psi(1.5) = -14\n"
 
 
+def test_eval_refuses_points_outside_the_disc_in_float_mode(tmp_path, capsys):
+    # 2F1(1/2, 1/3; 20): the coefficients decay like n^-20, so the order-40
+    # float residual is under the float tolerance, but the series does not
+    # terminate; its partial sum read 1.01354177244 at z = 1.5
+    path = tmp_path / "hyp2f1.json"
+    path.write_text(json.dumps({"kind": "three_point", "p": {"-1": "20", "0": "-11/6"},
+                                "q": {"-1": "-1/6"}, "series_cutoff": 40}))
+    for mode in ("exact", "float"):
+        assert main(["eval", "--problem", str(path), "--c0", "1", "--mode", mode,
+                     "--z", "1.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside the disc |z| < 1" in captured.err
+
+
 def test_eval_of_a_two_point_problem_has_no_disc(bessel_json, capsys):
     assert main(["eval", "--problem", bessel_json, "--c0", "1",
                  "--z", "50"]) == 0
@@ -471,6 +486,17 @@ def test_contour_struve_within_loose_tolerance(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "quadrature_value" in out
+
+
+def test_contour_integrand_that_overflows_a_float_exits_three(capsys):
+    # exp's integrand grows like e^{pi Im s} and leaves the float range on
+    # this tall line: an accuracy failure, not a solve-domain one
+    code = main(["contour", "--family", "exp", "--z", "0.5",
+                 "--half-height", "300", "--step", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "the integrand of Exp" in captured.err and "overflows a float" in captured.err
 
 
 def test_contour_bad_spec_exits_two(capsys):

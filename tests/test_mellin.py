@@ -517,6 +517,20 @@ def test_fractional_power_refuses_a_coefficient_that_is_not_finite(v, why):
         fractional_power_coeff(catalog_family("BesselRegular", nu=Fr(1, 3)), v)
 
 
+@pytest.mark.parametrize("family", [
+    catalog_family("Exp"),
+    catalog_family("Hyp1F1Regular", a=Fr(1), c=Fr(3, 2)),
+    catalog_family("TrigHyp", variant="cosh", omega=Fr(1)),
+], ids=lambda f: f.tag)
+def test_integrand_that_overflows_a_float_is_refused(family):
+    # K < 0: |K^{-s}| = e^{pi Im s} leaves the float range near Im s = 226
+    with pytest.raises(AccuracyError, match="overflows a float") as exc:
+        mellin_integrand(family, 0.5 + 300j, 0.5)
+    assert isinstance(exc.value.__cause__, OverflowError)
+    with pytest.raises(AccuracyError, match="overflows a float"):
+        contour_eval(family, 0.5, ContourSpec(half_height=300, step=0.5), full_output=True)
+
+
 # ---------------------------------------------------------------- integrand
 
 def test_exp_integrand_frozen_point():
