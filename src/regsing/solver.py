@@ -272,12 +272,12 @@ def residual(problem: OdeProblem, sol: Solution) -> Scalar | None:
 
 def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
     """The left-hand side of the equation at the truncated psi (the normal
-    form divided by z^w): each monomial c z^s log^k z of psi meets every slot of the normal form
-    in small integers (euler_image), then is scaled by w/d once per output
-    term.  A float is a dyadic rational, so a float lambda or slot is read
-    exactly; a float solve scales by the float w / d, which Python's int
-    division rounds correctly (float(Fraction(w, d)) bit for bit, without
-    the gcd), and an exact one by the Fraction."""
+    form divided by z^w): each monomial c z^s log^k z of psi meets every
+    slot in small integers (euler_image), then is scaled by w/d once per
+    output term.  A float is a dyadic rational, so a float lambda or slot
+    is read exactly.  An exact solve scales by Fraction(w, d); a float one
+    by the float w / d, which Python's int division rounds correctly, so it
+    equals float(Fraction(w, d)) bit for bit without taking the gcd."""
     den, slots = integer_slots(problem.slots)
     f = sol.f
     # above every row psi reaches (m <= f.order, and transform caps the

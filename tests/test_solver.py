@@ -602,7 +602,7 @@ def test_residual_on_log_solution():
 
 def _substitute_composed(problem, sol):
     """The left-hand side of the equation at the truncated psi, composed from
-    series primitives: the float path, and the oracle of _substitute_exact.
+    series primitives: the oracle of _substitute_exact.
 
     Column j = 0, 1, 2 of the slots, (a2, a1, a0), multiplies psi'', psi'
     and psi by sum_o a z^o; z^{2-j-w} then brings the product to the scale
