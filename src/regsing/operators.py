@@ -7,9 +7,9 @@ integro-differential operator A.
 over the conjugated slots (o, a2, a1, a0) of the OperatorSpec.
 
 L is a right inverse of f -> f'' + (alpha/z) f', so the transformed equation
-of the problem module becomes (1 + A) f = L(z^{w-2-lambda} F) + f0.  L and
-the float form of A are composed from the series primitives, so the log
-bookkeeping of the resonant cases is inherited rather than special-cased:
+of the problem module becomes (1 + A) f = L(z^{w-2-lambda} F) + f0.  L is
+composed from the series primitives, so the log bookkeeping of the resonant
+cases is inherited rather than special-cased:
 
     L z^p            = z^{p+2} / ((p+2)(alpha+p+1))      generic
     L z^{-2}         = log(z) / (alpha-1)                (alpha != 1)
@@ -32,16 +32,17 @@ logs and no resonance this is
 
     A z^s = sum_i (a1_i s + a0_i + a2_i s(s-1)) z^{s+i+1} / ((s+i+alpha)(s+i+1)).
 
-Every factor is a small rational built from s, k, alpha and the slots.
-Exact mode evaluates these images in plain integers and multiplies each
-output coefficient by the (large) input coefficient once, so no
-intermediate series is built.  Float mode keeps the composition: its
-rounding is what the golden CLI outputs pin byte for byte, and it serves as
-the oracle the exact kernel is tested against.
+Every factor is a small rational built from s, k, alpha and the slots.  A
+evaluates these images in plain integers and multiplies each output
+coefficient by the (large) input coefficient once, so no intermediate
+series is built.  Float values are dyadic rationals, so float mode reads
+sigma, alpha and the slots exactly and rounds only the scale of each
+output term before multiplying it in.
 
-In exact-rational mode every monomial has a well-defined image.  SingularTerm
-fires only in float mode when an exponent sits too close to a resonance for
-the branch to be decided reliably.
+In exact-rational mode every monomial has a well-defined image.  Float mode
+decides each log branch on the float exponent, as integrate does, and
+SingularTerm fires when an exponent sits too close to a resonance for the
+branch to be decided reliably.
 """
 
 from __future__ import annotations
@@ -51,12 +52,10 @@ from fractions import Fraction
 
 from .logseries import (
     LogSeries,
-    differentiate,
     euler_image,
     integrate,
     integrate_log_vector,
     linear_combine,
-    mul_poly,
     shift_exponent,
 )
 from .problem import OperatorSpec
@@ -69,14 +68,16 @@ class SingularTerm(ArithmeticError):
     violating the regular-singularity hypothesis."""
 
 
+def _guard(p: Scalar) -> None:
+    if isinstance(p, float) and 0 < abs(p + 1) < 1e-12:
+        raise SingularTerm(f"exponent {p} within 1e-12 of the resonant value -1")
+
+
 def _resonance_guard(g: LogSeries) -> None:
     if is_exact(g.sigma):
         return
     for (m, _k) in g.coeffs:
-        p = g.sigma + m
-        if 0 < abs(p + 1) < 1e-12:
-            raise SingularTerm(
-                f"exponent {p} within 1e-12 of the resonant value -1")
+        _guard(g.sigma + m)
 
 
 def apply_L(spec: OperatorSpec, f: LogSeries) -> LogSeries:
@@ -110,24 +111,22 @@ def make_f0(spec: OperatorSpec, c0: Scalar, c1: Scalar, order: int = 12) -> LogS
 
 
 def apply_A(spec: OperatorSpec, f: LogSeries) -> LogSeries:
-    """A f = L( sum_o z^{o-2} (a2_o z^2 f'' + a1_o z f' + a0_o f) ).
+    """A f = L( sum_o z^{o-2} (a2_o z^2 f'' + a1_o z f' + a0_o f) ),
+    based at f.sigma + 1 with horizon f.order; terms above it are dropped.
 
-    Exact f and spec take the closed-form image of each monomial
-    (_apply_A_exact); float mode composes the series primitives
-    (_apply_A_composed).  Both return the same base f.sigma + 1 and
-    horizon f.order, and drop the same terms above it.
+    Per monomial and slot, the integrand's log vector at z^{s-1+i} goes
+    through L's two integrations in small integers (s = sq/q), and c is
+    multiplied in once per output term: by Fraction(w, d) in exact mode,
+    by the float w / d (Python's int division rounds it correctly) in
+    float mode.
     """
-    if spec.mode == "exact" and f.mode == "exact":
-        return _apply_A_exact(spec, f)
-    return _apply_A_composed(spec, f)
-
-
-def _apply_A_exact(spec: OperatorSpec, f: LogSeries) -> LogSeries:
-    # per monomial and slot: the integrand's log vector at z^{s-1+i}, pushed
-    # through L's two integrations in small integers (s = sq/q), then one
-    # Fraction per output term, multiplied by c once
     den, slots = spec.integer_slots
     sigma, alpha = f.sigma, spec.alpha
+    exact = spec.mode == "exact" and is_exact(sigma)
+    if not exact:
+        sigma, alpha = Fraction(sigma), Fraction(alpha)
+        lead = f.sigma - 1 + spec.alpha          # the float base of the integrand
+        mid = lead + 1 - spec.alpha              # and of the inner integral
     q = math.lcm(sigma.denominator, alpha.denominator)
     sq0 = sigma.numerator * (q // sigma.denominator)
     aq = alpha.numerator * (q // alpha.denominator)
@@ -139,33 +138,29 @@ def _apply_A_exact(spec: OperatorSpec, f: LogSeries) -> LogSeries:
             if m + i > f.order:
                 break
             v = euler_image(sq, q, k, a2, a1, a0)
-            v, d1 = integrate_log_vector(v, sq + i * q + aq, q)    # p + 1 = s + i + alpha
-            v, d2 = integrate_log_vector(v, sq + (i + 1) * q, q)   # p + 1 = s + i + 1
+            pq1 = sq + i * q + aq                # p + 1 = s + i + alpha
+            pq2 = sq + (i + 1) * q               # p + 1 = s + i + 1
+            if not exact:
+                if not any(v):                   # no term, so no branch to decide
+                    continue
+                pq1 = _float_branch(lead + (m + i), pq1)
+                pq2 = _float_branch(mid + (m + i), pq2)
+            v, d1 = integrate_log_vector(v, pq1, q)
+            v, d2 = integrate_log_vector(v, pq2, q)
             d = den * q * q * d1 * d2
             for j, w in enumerate(v):
                 if w:
                     key = (m + i, j)
-                    out[key] = out.get(key, 0) + c * Fraction(w, d)
-    return LogSeries(sigma + 1, f.order, out)
+                    out[key] = out.get(key, 0) + c * (Fraction(w, d) if exact else w / d)
+    return LogSeries(f.sigma + 1, f.order, out)
 
 
-def _apply_A_composed(spec: OperatorSpec, f: LogSeries) -> LogSeries:
-    """A f composed from series primitives: the float path, and the oracle
-    the exact kernel is tested against.
-
-    Only the nonzero slot values are multiplied in.  The integrand keeps the
-    base exponent and horizon of f', so the result does not depend on which
-    values vanish.
-    """
-    z_d2, c_col, d_col = spec.columns
-    df = differentiate(f)
-    integrand = LogSeries.zero(f.order, df.sigma)
-    if c_col:
-        integrand = linear_combine(1, integrand, 1, mul_poly(df, c_col))
-    if d_col:
-        integrand = linear_combine(
-            1, integrand, 1, shift_exponent(mul_poly(f, d_col), -1))
-    if z_d2:
-        integrand = linear_combine(
-            1, integrand, 1, shift_exponent(mul_poly(differentiate(df), z_d2), 1))
-    return apply_L(spec, integrand)
+def _float_branch(p: Scalar, pq: int) -> int:
+    """The numerator pq of p + 1 for an integration at the float exponent
+    p, with the branch decided on p as integrate decides it: 0 (the log
+    branch) at p == -1, SingularTerm within 1e-12 of it.  The dyadic pq
+    misses the resonance where float arithmetic landed on it."""
+    if p == -1:
+        return 0
+    _guard(p)
+    return pq

@@ -181,16 +181,9 @@ class OperatorSpec:
 
     @cached_property
     def integer_slots(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
-        """The slots of an exact spec in integers over one denominator."""
+        """The slots in integers over one denominator; a float slot is read
+        as the dyadic rational it is."""
         return integer_slots(self.slots)
-
-    @cached_property
-    def columns(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
-        """The a2, a1 and a0 columns as sparse polynomials (o - 1, a),
-        ascending, zeros dropped: the integrand is
-        z (a2 col) f'' + (a1 col) f' + (a0 col) f / z."""
-        return tuple(tuple((o - 1, s[j]) for o, *s in self.slots if s[j] != 0)
-                     for j in range(3))
 
 
 def transform(problem: OdeProblem, root_choice: int) -> OperatorSpec:

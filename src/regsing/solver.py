@@ -96,32 +96,30 @@ def neumann_apply_resolvent(spec: OperatorSpec, g: LogSeries, order: int) -> Log
 
 def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[LogSeries, int]:
     # One pending row per m, visited in ascending order: f[m,k] is final when
-    # row m is reached, and its image under A only touches rows above m.
-    # An entry keeps the base exponent and index it first arrived with:
-    # applying A to the monomial in that form repeats the Neumann loop's
-    # float arithmetic, so a float chain of single monomials comes out bit
-    # for bit the same.
+    # row m is reached, and its image under A, taken at g's base, only
+    # touches rows above m: row mi of the image is row mi + 1 of f.
     #
-    # Each entry also carries its depth, the longest chain of A applications
-    # that reaches it from g, and its share, the part of its value that came
-    # along chains of that length: the Neumann term (-A)^depth g there.  The
-    # deepest entry gives the Neumann iteration count as long as no share is
-    # zero; if one is, its terms cancel and the count is left to the Neumann
-    # loop (_neumann_count).  A share is None while it is the whole value,
-    # or a link (source, ci, c): the source's share times -ci / c, where A
-    # took the source's value c to ci.  A link is never zero, so shares are
-    # only multiplied out where two chains of the deepest length meet.
+    # Each entry carries its value, its depth (the longest chain of A
+    # applications that reaches it from g) and its share, the part of its
+    # value that came along chains of that length: the Neumann term
+    # (-A)^depth g there.  The deepest entry gives the Neumann iteration
+    # count as long as no share is zero; if one is, its terms cancel and the
+    # count is left to the Neumann loop (_neumann_count).  A share is None
+    # while it is the whole value, or a link (source, ci, c): the source's
+    # share times -ci / c, where A took the source's value c to ci.  A link
+    # is never zero, so shares are only multiplied out where two chains of
+    # the deepest length meet.
     n = min(order, g.order)
     rows: list[dict[int, list]] = [{} for _ in range(n + 1)]   # k -> entry
     for (m, k), c in g.coeffs.items():
         if m <= n:
-            rows[m][k] = [c, 0, None, g.sigma, m]    # value, depth, share, base, index
+            rows[m][k] = [c, 0, None]    # value, depth, share
     coeffs = {}
     deepest = -1
     counted = True
     for m, row in enumerate(rows):
         for k, entry in row.items():
-            c, depth, share, base, index = entry
+            c, depth, share = entry
             if counted:
                 counted = isinstance(share, tuple) or (c if share is None else share) != 0
                 deepest = max(deepest, depth)
@@ -134,17 +132,15 @@ def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[L
             # a zero value with a share still passes the share on: its unit
             # image carries it, and adds nothing to the values
             unit = c if live else 1
-            image = apply_A(spec, LogSeries(base, n, {(index, k): unit}))
-            offset = _gap(g.sigma, image.sigma)
+            image = apply_A(spec, LogSeries(g.sigma, n, {(m, k): unit}))
             for (mi, ki), ci in image.coeffs.items():
-                target = mi + offset
+                target = mi + 1
                 if target > n:
                     continue
                 there = rows[target].get(ki)
                 if there is None:
                     rows[target][ki] = [-ci if live else 0, depth + 1,
-                                        None if whole else (entry, ci, unit),
-                                        image.sigma, mi]
+                                        None if whole else (entry, ci, unit)]
                     continue
                 if counted:
                     if depth + 1 == there[1]:

@@ -200,7 +200,8 @@ GOLDEN_SEEDS = {"bessel": ["--c0", "1"], "gauss": ["--c0", "1"], "struve": []}
 @pytest.mark.parametrize("name", sorted(GOLDEN_SEEDS))
 def test_solve_output_matches_golden_bytes(name, mode, fmt, order, capsys):
     # tests/golden holds the stdout of `regsing solve` on the demo problem
-    # files as the Neumann-loop solver printed it, iterations line included
+    # files, iterations line included: the exact files as the Neumann-loop
+    # solver printed them, the float ones as the monomial kernel rounds them
     problem = ROOT / "demos" / "problems" / f"{name}.json"
     code = main(["solve", "--problem", str(problem), *GOLDEN_SEEDS[name],
                  "--mode", mode, "--format", fmt, "--order", str(order)])

@@ -1,9 +1,10 @@
 """Tests for L, f0 and A against the closed-form monomial rules."""
 
+import math
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from regsing.logseries import (
@@ -15,7 +16,7 @@ from regsing.logseries import (
     shift_exponent,
     weighted_norm_estimate,
 )
-from regsing.operators import SingularTerm, _apply_A_composed, apply_A, apply_L, make_f0
+from regsing.operators import SingularTerm, apply_A, apply_L, make_f0
 from regsing.problem import OdeProblem, OperatorSpec, transform
 
 from test_problem import bessel_problem, confluent_problem, dense_cd, gauss_problem
@@ -227,8 +228,6 @@ def test_A_from_sparse_terms_matches_dense_polynomials(cs, ds, z_d2, terms):
     slots = tuple((i + 1, -1 if z_d2 and i == 0 else 0, c, d)
                   for i, (c, d) in enumerate(zip(cs, ds)))
     spec = OperatorSpec(alpha=Fr(7, 3), lam=0, slots=slots)
-    assert spec.columns[1] == tuple((i, c) for i, c in enumerate(cs) if c != 0)
-    assert spec.columns[2] == tuple((i, d) for i, d in enumerate(ds) if d != 0)
     f = LogSeries(Fr(1, 2), 5, {(m, k): c for m, k, c in terms})
     out, dense = apply_A(spec, f), _dense_apply_A(spec, f, cs, ds, z_d2)
     assert out.coeffs == dense.coeffs
@@ -236,6 +235,31 @@ def test_A_from_sparse_terms_matches_dense_polynomials(cs, ds, z_d2, terms):
 
 
 # ------------------------------------------ exact kernel vs the composition
+
+def _apply_A_composed(spec, f):
+    """A f composed from series primitives: the oracle of the monomial
+    kernel apply_A.
+
+    The slots give the a2, a1 and a0 columns as sparse polynomials
+    (o - 1, a), zeros dropped, and the integrand is
+    z (a2 col) f'' + (a1 col) f' + (a0 col) f / z.  It keeps the base
+    exponent and horizon of f', so the result does not depend on which
+    values vanish.
+    """
+    z_d2, c_col, d_col = (tuple((o - 1, a[j]) for o, *a in spec.slots if a[j] != 0)
+                          for j in range(3))
+    df = differentiate(f)
+    integrand = LogSeries.zero(f.order, df.sigma)
+    if c_col:
+        integrand = linear_combine(1, integrand, 1, mul_poly(df, c_col))
+    if d_col:
+        integrand = linear_combine(
+            1, integrand, 1, shift_exponent(mul_poly(f, d_col), -1))
+    if z_d2:
+        integrand = linear_combine(
+            1, integrand, 1, shift_exponent(mul_poly(differentiate(df), z_d2), 1))
+    return apply_L(spec, integrand)
+
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
@@ -292,6 +316,62 @@ def test_A_kernel_matches_composition_on_series(data):
                                min_size=1, max_size=6))
     _assert_kernel_matches_composition(
         spec, LogSeries(sigma, 6, {(m, k): c for m, k, c in terms}))
+
+
+# --------------------------------------- float kernel vs the dyadic image
+
+def float_spec(spec):
+    return OperatorSpec(float(spec.alpha), float(spec.lam),
+                        tuple((o, *map(float, a)) for o, *a in spec.slots))
+
+
+def dyadic_spec(spec):
+    """The spec with every float read as the dyadic rational it is."""
+    return OperatorSpec(Fr(spec.alpha), Fr(spec.lam),
+                        tuple((o, *map(Fr, a)) for o, *a in spec.slots))
+
+
+def _branches_agree(spec, f):
+    """Whether, for every term of f and slot of the float spec, each of L's
+    two integrations takes the log branch on the float exponent exactly
+    where the dyadic exponent is -1, with no float exponent left within
+    1e-12 of the resonance."""
+    lead, exact = f.sigma - 1 + spec.alpha, Fr(f.sigma) - 1 + Fr(spec.alpha)
+    for m, _k in f.coeffs:
+        for o, *_ in spec.slots:
+            i = o - 1
+            for p, want in ((lead + (m + i), exact + (m + i)),
+                            (lead + 1 - spec.alpha + (m + i), Fr(f.sigma) + (m + i))):
+                if (p == -1) != (want == -1) or 0 < abs(p + 1) < 1e-12:
+                    return False
+    return True
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_A_float_kernel_within_2_ulp_of_the_dyadic_image(data):
+    spec = float_spec(data.draw(exact_specs()))
+    s = float(data.draw(resonant_exponent(dyadic_spec(spec))))
+    m = data.draw(st.integers(0, 6))
+    k = data.draw(st.integers(0, 3))
+    c = float(data.draw(st.fractions(max_denominator=10**6).filter(lambda x: x != 0)))
+    f = LogSeries(s - m, 6, {(m, k): c})
+    assume(_branches_agree(spec, f))
+    out = apply_A(spec, f)
+    want = apply_A(dyadic_spec(spec), LogSeries(Fr(f.sigma), 6, {(m, k): Fr(c)}))
+    assert out.coeffs.keys() == want.coeffs.keys()
+    for key, w in want.coeffs.items():
+        assert abs(out.coeffs[key] - float(w)) <= 2 * math.ulp(float(w))
+
+
+def test_A_float_resonance_at_each_integration():
+    # one slot, a0 = 1 at o = 1: z^s integrates at p = s - 1 + alpha, then at p = s
+    spec = OperatorSpec(alpha=2.5, lam=0.0, slots=((1, 0.0, 0.0, 1.0),))
+    for s in (-2.5, -1.0):               # on the resonance: the log branch
+        assert apply_A(spec, mono(1.0, s)).max_log_power == 1
+    for s in (-2.5 + 1e-14, -1.0 + 1e-14):
+        with pytest.raises(SingularTerm):
+            apply_A(spec, mono(1.0, s))
 
 
 def test_A_contraction_on_probe_basis():

@@ -242,9 +242,6 @@ def test_transform_matches_the_per_kind_oracle(problem, floats):
     for choice in (1, 2):
         got, want = transform(problem, choice), _transform_by_kind(problem, choice)
         assert (got.alpha, got.lam, *dense_cd(got, problem.series_cutoff)) == want
-        sparse = tuple(tuple((i, x) for i, x in enumerate(col) if x != 0)
-                       for col in want[2:4])
-        assert got.columns[1:] == sparse
 
 
 @pytest.mark.parametrize("kind", ["two_point", "three_point"])

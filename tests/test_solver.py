@@ -47,6 +47,7 @@ from regsing.solver import (
     solve_log_second,
 )
 
+from test_operators import dyadic_spec
 from test_problem import bessel_problem, confluent_problem, gauss_problem
 
 
@@ -757,6 +758,27 @@ def test_index_mismatch_float_near_resonance():
         solve(prob, 1, 0, 1.0, order=8)
 
 
+# exact problems whose smaller root sits an integer below the larger one and
+# whose float twins land exactly on the log branch of L, though the dyadic
+# values of their float alpha and lambda miss the resonance by rounding
+FLOAT_LOG_BRANCH_CASES = [
+    ("two_point", {-1: Fr(-1, 3), 0: Fr(2, 5)}, {-2: Fr(7, 36), -1: Fr(6, 7), 0: Fr(3, 7)}),
+    ("three_point", {-1: Fr(5, 3), 1: Fr(5, 6)}, {-2: Fr(-8, 9), 0: Fr(2), 1: Fr(-1, 2)}),
+    ("two_point", {-1: Fr(4, 5)}, {-2: Fr(-56, 25), -1: Fr(-5, 2), 1: Fr(-1, 5)}),
+]
+
+
+@pytest.mark.parametrize("kind, p, q", FLOAT_LOG_BRANCH_CASES)
+def test_float_solve_takes_the_log_branch_on_the_float_exponent(kind, p, q):
+    problem = OdeProblem(kind, p, q, series_cutoff=12)
+    exact = solve(problem, 2, 1, 0)
+    sol = solve(_to_float_problem(problem), 2, 1.0, 0.0)
+    assert exact.f.max_log_power == sol.f.max_log_power == 1
+    assert sol.f.coeffs.keys() == exact.f.coeffs.keys()
+    for key, c in exact.f.coeffs.items():
+        assert sol.f.coeffs[key] == pytest.approx(float(c), rel=1e-13, abs=0)
+
+
 # --------------------------------------------------------------- contraction
 
 def test_contraction_bessel():
@@ -896,6 +918,33 @@ def test_residual_order_agrees_with_residual_on_fingerprint_cases():
             if None not in orders and orders[0] != orders[1]:
                 bad.append(case_id)
     assert bad == []
+
+
+def test_float_fingerprint_solves_are_close_to_the_dyadic_solve_rounded_once():
+    # the reference reads the float solve's spec and g as the dyadic
+    # rationals they are, solves exactly and rounds each coefficient once
+    ulps, worst = [], {}
+    for (case_id, problem, root, c0, c1, order), (_, _, sol) in zip(
+            _fingerprint_cases(), _fingerprint_solves()):
+        if not case_id.endswith("-float") or isinstance(sol, Exception):
+            continue
+        spec = transform(problem, root)
+        g = _driving_term(problem, spec, c0, c1, order)
+        ref = neumann_apply_resolvent(
+            dyadic_spec(spec),
+            LogSeries(Fr(g.sigma), g.order, {key: Fr(c) for key, c in g.coeffs.items()}),
+            order)
+        assert sol.f.coeffs.keys() == ref.coeffs.keys()
+        want = {key: float(c) for key, c in ref.coeffs.items()}
+        scale = max(map(abs, want.values()))
+        errors = [abs(sol.f.coeffs[key] - w) for key, w in want.items()]
+        ulps += [e / math.ulp(w) for e, w in zip(errors, want.values())]
+        worst[case_id] = max(errors) / scale
+    ulps.sort()
+    assert len(worst) == 126          # every float fingerprint case that solves
+    assert ulps[len(ulps) // 2] <= 1
+    assert ulps[len(ulps) * 99 // 100] <= 64
+    assert {case_id: w for case_id, w in worst.items() if w > 2e-15} == {}
 
 
 @given(random_problems(), st.sampled_from((1, 2)),
