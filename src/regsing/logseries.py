@@ -236,8 +236,9 @@ def integrate(f: LogSeries) -> LogSeries:
 # final Fractions.
 
 def integer_slots(slots) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
-    """(den, slots) with every (o, a2, a1, a0) of the exact rational slots
-    scaled to integers over one common denominator den."""
+    """(den, slots) with every (o, a2, a1, a0) of the slots scaled to
+    integers over one common denominator den; a float is read as the dyadic
+    rational it is."""
     den = math.lcm(*(Fraction(a).denominator for slot in slots for a in slot[1:]))
     return den, tuple((o, *(int(Fraction(a) * den) for a in coeffs))
                       for o, *coeffs in slots)
