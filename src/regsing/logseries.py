@@ -31,6 +31,11 @@ class DomainError(ValueError):
     its disc of convergence."""
 
 
+class AccuracyError(ArithmeticError):
+    """A float result that cannot be trusted: a value that leaves the float
+    range, or a quadrature tail estimate above the requested tolerance."""
+
+
 def _gap(sigma_f: Scalar, sigma_g: Scalar) -> int | None:
     """Integer gap sigma_g - sigma_f, or None."""
     d = sigma_g - sigma_f
@@ -289,6 +294,14 @@ def integrate_log_vector(v: list[int], pq: int, q: int) -> tuple[list[int], int]
             w[j - t] += term * powers[n - 1 - t]
             term = -term * (j - t) * q
     return w, powers[-1] * pq
+
+
+def float_ratio(w: int, d: int) -> float:
+    """w / d correctly rounded (int division); AccuracyError past the float range."""
+    try:
+        return w / d
+    except OverflowError as exc:
+        raise AccuracyError("a term scale w / d overflows a float") from exc
 
 
 def _inv(x: Scalar, like: Scalar) -> Scalar:

@@ -41,7 +41,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .catalog import ParameterError, struve_prefactor
-from .logseries import LogSeries
+from .logseries import AccuracyError, LogSeries
 from .operators import apply_A
 from .problem import OdeProblem, root_index, transform
 from .scalars import Scalar, as_int, is_exact
@@ -52,10 +52,6 @@ EULER_GAMMA = 0.5772156649015329
 
 class PoleError(ArithmeticError):
     """Evaluation requested at a pole of gamma or digamma."""
-
-
-class AccuracyError(ArithmeticError):
-    """The quadrature tail estimate exceeds the requested tolerance."""
 
 
 # ----------------------------------------------------------------- gamma

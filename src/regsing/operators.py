@@ -7,9 +7,8 @@ integro-differential operator A.
 over the conjugated slots (o, a2, a1, a0) of the OperatorSpec.
 
 L is a right inverse of f -> f'' + (alpha/z) f', so the transformed equation
-of the problem module becomes (1 + A) f = L(z^{w-2-lambda} F) + f0.  L is
-composed from the series primitives, so the log bookkeeping of the resonant
-cases is inherited rather than special-cased:
+of the problem module becomes (1 + A) f = L(z^{w-2-lambda} F) + f0.  The
+monomial images of L, with the log bookkeeping of the resonant cases:
 
     L z^p            = z^{p+2} / ((p+2)(alpha+p+1))      generic
     L z^{-2}         = log(z) / (alpha-1)                (alpha != 1)
@@ -18,9 +17,9 @@ cases is inherited rather than special-cased:
     L z^m log z      = z^{m+2} (log(z)/((m+2)(alpha+m+1))
                        - (alpha+2m+3)/((m+2)^2 (alpha+m+1)^2))
 
-Closed-form image of one monomial.  Index slot o by i = o - 1, so that it
-is z^{i-1} (a2_i z^2 f'' + a1_i z f' + a0_i f).  For f = z^s log^k z,
-slot i is z^{s-1+i} times the log vector
+One kernel computes L, for A and for L alike.  Index slot o by i = o - 1,
+so that it is z^{i-1} (a2_i z^2 f'' + a1_i z f' + a0_i f).  For
+f = z^s log^k z, slot i is z^{s-1+i} times the log vector
 
     log^k     a2_i s(s-1) + a1_i s + a0_i
     log^{k-1} k (a2_i (2s-1) + a1_i)
@@ -32,12 +31,13 @@ logs and no resonance this is
 
     A z^s = sum_i (a1_i s + a0_i + a2_i s(s-1)) z^{s+i+1} / ((s+i+alpha)(s+i+1)).
 
-Every factor is a small rational built from s, k, alpha and the slots.  A
-evaluates these images in plain integers and multiplies each output
-coefficient by the (large) input coefficient once, so no intermediate
-series is built.  Float values are dyadic rationals, so float mode reads
-sigma, alpha and the slots exactly and rounds only the scale of each
-output term before multiplying it in.
+L itself is the same kernel with the single slot (1, 0, 0, 1), whose
+integrand is f, at z^s.  Every factor is a small rational built from s, k,
+alpha and the slots.  The kernel evaluates these images in plain integers
+and the caller multiplies each output scale by the (large) input
+coefficient once, so no intermediate series is built.  Float values are
+dyadic rationals, so float mode reads sigma, alpha and the slots exactly
+and rounds only the scale of each output term before multiplying it in.
 
 In exact-rational mode every monomial has a well-defined image.  Float mode
 decides each log branch on the float exponent, as integrate does, and
@@ -53,10 +53,9 @@ from fractions import Fraction
 from .logseries import (
     LogSeries,
     euler_image,
-    integrate,
+    float_ratio,
     integrate_log_vector,
     linear_combine,
-    shift_exponent,
 )
 from .problem import OperatorSpec
 from .scalars import Scalar, is_exact
@@ -68,28 +67,16 @@ class SingularTerm(ArithmeticError):
     violating the regular-singularity hypothesis."""
 
 
-def _guard(p: Scalar) -> None:
-    if isinstance(p, float) and 0 < abs(p + 1) < 1e-12:
-        raise SingularTerm(f"exponent {p} within 1e-12 of the resonant value -1")
-
-
-def _resonance_guard(g: LogSeries) -> None:
-    if is_exact(g.sigma):
-        return
-    for (m, _k) in g.coeffs:
-        _guard(g.sigma + m)
+_L_SLOTS = (1, ((1, 0, 0, 1),))
 
 
 def apply_L(spec: OperatorSpec, f: LogSeries) -> LogSeries:
-    """L f, term-exact, raising the base exponent by 2."""
-    inner = shift_exponent(f, spec.alpha)
-    _resonance_guard(inner)
-    mid = shift_exponent(integrate(inner), -spec.alpha)
-    _resonance_guard(mid)
-    return integrate(mid)
+    """L f, term-exact, raising the base exponent by 2: the monomial kernel
+    over the single slot (1, 0, 0, 1), with the integrand at z^s."""
+    return _image(spec, f, _L_SLOTS, 1)
 
 
-def make_f0(spec: OperatorSpec, c0: Scalar, c1: Scalar, order: int = 12) -> LogSeries:
+def make_f0(spec: OperatorSpec, c0: Scalar, c1: Scalar, order: int) -> LogSeries:
     """Kernel of L: f0 = c0 + c1 * int z^-alpha dz.
 
     alpha != 1: f0 = c0 + c1 z^{1-alpha}/(1-alpha); alpha = 1: c0 + c1 log z.
@@ -112,37 +99,53 @@ def make_f0(spec: OperatorSpec, c0: Scalar, c1: Scalar, order: int = 12) -> LogS
 
 def apply_A(spec: OperatorSpec, f: LogSeries) -> LogSeries:
     """A f = L( sum_o z^{o-2} (a2_o z^2 f'' + a1_o z f' + a0_o f) ),
-    based at f.sigma + 1 with horizon f.order; terms above it are dropped.
+    based at f.sigma + 1 with horizon f.order; terms above it are dropped:
+    the monomial kernel over the spec's integer slots, with the integrand of
+    slot i at z^{s-1+i}."""
+    return _image(spec, f, spec.integer_slots, 0)
 
-    Per monomial and slot, the integrand's log vector at z^{s-1+i} goes
-    through L's two integrations in small integers (s = sq/q), and c is
-    multiplied in once per output term: by Fraction(w, d) in exact mode,
-    by the float w / d (Python's int division rounds it correctly) in
-    float mode.
-    """
-    den, slots = spec.integer_slots
-    sigma, alpha = f.sigma, spec.alpha
+
+def _image(spec: OperatorSpec, f: LogSeries, integer_slots, lift: int) -> LogSeries:
+    """f through the kernel, based at f.sigma + 1 + lift."""
+    image = _kernel(spec, f.sigma, f.order, integer_slots, lift)
+    out: dict[tuple[int, int], Scalar] = {}
+    for (m, k), c in f.coeffs.items():
+        for key, w in image(m, k):
+            out[key] = out.get(key, 0) + c * w
+    return LogSeries(f.sigma + (1 + lift), f.order, out)
+
+
+def _kernel(spec: OperatorSpec, sigma: Scalar, order: int, integer_slots, lift: int):
+    """The image under L of the slots, per monomial z^s log^k z, s = sigma + m:
+    image(m, k) lists ((m + i, j), scale) for the terms scale z^{s+1+lift+i}
+    log^j z of each slot i whose integrand sits at z^{s-1+lift+i}, rows above
+    `order` dropped.  The scale is Fraction(w, d), or in float mode the float
+    w / d (Python's int division rounds it correctly), and each float branch
+    is decided on the float exponent that integrate reads."""
+    den, slots = integer_slots
     exact = spec.mode == "exact" and is_exact(sigma)
+    alpha = spec.alpha
     if not exact:
+        lead = (sigma + (lift - 1)) + alpha     # the float base of the integrand
+        mid = lead + 1 - alpha                  # and of the inner integral
         sigma, alpha = Fraction(sigma), Fraction(alpha)
-        lead = f.sigma - 1 + spec.alpha          # the float base of the integrand
-        mid = lead + 1 - spec.alpha              # and of the inner integral
     q = math.lcm(sigma.denominator, alpha.denominator)
     sq0 = sigma.numerator * (q // sigma.denominator)
     aq = alpha.numerator * (q // alpha.denominator)
-    out: dict[tuple[int, int], Scalar] = {}
-    for (m, k), c in f.coeffs.items():
+
+    def image(m: int, k: int) -> list[tuple[tuple[int, int], Scalar]]:
         sq = sq0 + m * q
+        terms = []
         for o, a2, a1, a0 in slots:
             i = o - 1
-            if m + i > f.order:
+            if m + i > order:
                 break
             v = euler_image(sq, q, k, a2, a1, a0)
-            pq1 = sq + i * q + aq                # p + 1 = s + i + alpha
-            pq2 = sq + (i + 1) * q               # p + 1 = s + i + 1
+            if not any(v):                       # no term, so no branch to decide
+                continue
+            pq1 = sq + (lift + i) * q + aq       # p + 1 = s + lift + i + alpha
+            pq2 = sq + (lift + i + 1) * q        # p + 1 = s + lift + i + 1
             if not exact:
-                if not any(v):                   # no term, so no branch to decide
-                    continue
                 pq1 = _float_branch(lead + (m + i), pq1)
                 pq2 = _float_branch(mid + (m + i), pq2)
             v, d1 = integrate_log_vector(v, pq1, q)
@@ -150,9 +153,10 @@ def apply_A(spec: OperatorSpec, f: LogSeries) -> LogSeries:
             d = den * q * q * d1 * d2
             for j, w in enumerate(v):
                 if w:
-                    key = (m + i, j)
-                    out[key] = out.get(key, 0) + c * (Fraction(w, d) if exact else w / d)
-    return LogSeries(f.sigma + 1, f.order, out)
+                    terms.append(((m + i, j), Fraction(w, d) if exact else float_ratio(w, d)))
+        return terms
+
+    return image
 
 
 def _float_branch(p: Scalar, pq: int) -> int:
@@ -162,5 +166,6 @@ def _float_branch(p: Scalar, pq: int) -> int:
     misses the resonance where float arithmetic landed on it."""
     if p == -1:
         return 0
-    _guard(p)
+    if isinstance(p, float) and 0 < abs(p + 1) < 1e-12:
+        raise SingularTerm(f"exponent {p} within 1e-12 of the resonant value -1")
     return pq

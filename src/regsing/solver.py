@@ -45,16 +45,18 @@ from functools import cached_property
 from itertools import islice
 
 from .logseries import (
+    AccuracyError,
     LogSeries,
     _gap,
     euler_image,
+    float_ratio,
     integer_slots,
     linear_combine,
     shift_exponent,
     truncate,
     weighted_norm_estimate,
 )
-from .operators import SingularTerm, apply_A, apply_L, make_f0
+from .operators import SingularTerm, _kernel, apply_A, apply_L, make_f0
 from .problem import OdeProblem, OperatorSpec, indicial, transform
 from .scalars import Scalar, as_int, mode as scalar_mode
 
@@ -105,11 +107,10 @@ def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[L
     # (-A)^depth g there.  The deepest entry gives the Neumann iteration
     # count as long as no share is zero; if one is, its terms cancel and the
     # count is left to the Neumann loop (_neumann_count).  A share is None
-    # while it is the whole value, or a link (source, ci, c): the source's
-    # share times -ci / c, where A took the source's value c to ci.  A link
-    # is never zero, so shares are only multiplied out where two chains of
-    # the deepest length meet.
+    # while it is the whole value, else a number: along an image term of
+    # scale w, share s passes on as -s w (-c w while it is the whole value c).
     n = min(order, g.order)
+    image = _kernel(spec, g.sigma, n, spec.integer_slots, 0)
     rows: list[dict[int, list]] = [{} for _ in range(n + 1)]   # k -> entry
     for (m, k), c in g.coeffs.items():
         if m <= n:
@@ -118,10 +119,9 @@ def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[L
     deepest = -1
     counted = True
     for m, row in enumerate(rows):
-        for k, entry in row.items():
-            c, depth, share = entry
+        for k, (c, depth, share) in row.items():
             if counted:
-                counted = isinstance(share, tuple) or (c if share is None else share) != 0
+                counted = (c if share is None else share) != 0
                 deepest = max(deepest, depth)
             whole = share is None or not counted
             live = c != 0
@@ -129,26 +129,25 @@ def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[L
                 continue
             if live:
                 coeffs[(m, k)] = c
-            # a zero value with a share still passes the share on: its unit
-            # image carries it, and adds nothing to the values
-            unit = c if live else 1
-            image = apply_A(spec, LogSeries(g.sigma, n, {(m, k): unit}))
-            for (mi, ki), ci in image.coeffs.items():
+            # a zero value with a share passes the share on, and adds no value
+            for (mi, ki), w in image(m, k):
                 target = mi + 1
                 if target > n:
                     continue
+                ci = c * w
+                if live and not ci:      # a float product rounded to 0.0: no term
+                    continue
                 there = rows[target].get(ki)
                 if there is None:
-                    rows[target][ki] = [-ci if live else 0, depth + 1,
-                                        None if whole else (entry, ci, unit)]
+                    rows[target][ki] = [-ci, depth + 1, None if whole else -share * w]
                     continue
                 if counted:
                     if depth + 1 == there[1]:
                         if not whole or there[2] is not None:
-                            there[2] = _resolve(there[2], there[0]) + (
-                                -ci if whole else _resolve((entry, ci, unit), None))
+                            there[2] = (there[0] if there[2] is None else there[2]) - (
+                                ci if whole else share * w)
                     elif depth + 1 > there[1]:
-                        there[1], there[2] = depth + 1, -ci if whole else (entry, ci, unit)
+                        there[1], there[2] = depth + 1, -ci if whole else -share * w
                     elif there[2] is None:
                         there[2] = there[0]
                 if live:
@@ -157,26 +156,6 @@ def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[L
     if not counted:
         return f, _neumann_count(spec, g, n)
     return f, 0 if deepest < 0 else min(n, deepest + 1)
-
-
-def _resolve(share, value):
-    """A share as a number: `value` when it is None, a link multiplied out
-    down its chain (each entry on the way keeps the number its share comes
-    to)."""
-    if share is None:
-        return value
-    if not isinstance(share, tuple):
-        return share
-    links = [share]
-    while isinstance(links[-1][0][2], tuple):
-        links.append(links[-1][0][2])
-    source = links[-1][0]
-    out = source[0] if source[2] is None else source[2]
-    for i in range(len(links) - 1, -1, -1):
-        out = -(out * links[i][1]) / links[i][2]
-        if i:
-            links[i - 1][0][2] = out
-    return out
 
 
 def _neumann_count(spec: OperatorSpec, g: LogSeries, n: int) -> int:
@@ -214,7 +193,8 @@ def solve(problem: OdeProblem, root_choice: int, c0: Scalar, c1: Scalar,
     Exact mode gives the Neumann sum f = sum_j (-A)^j g bit for bit.  In
     float mode the resolvent adds the contributions to a coefficient in
     another order than a term-by-term Neumann sum does; the two agree to
-    1e-13 relative per coefficient.
+    1e-13 relative per coefficient.  A float solve whose coefficients leave
+    the float range raises AccuracyError.
     """
     n = problem.series_cutoff if order is None else order
     spec = transform(problem, root_choice)
@@ -226,6 +206,9 @@ def solve(problem: OdeProblem, root_choice: int, c0: Scalar, c1: Scalar,
             raise IndexMismatch(
                 f"c1 seed at root {spec.lam} produced {exc}") from exc
         raise
+    for (m, k), c in f.coeffs.items():
+        if isinstance(c, float) and not math.isfinite(c):
+            raise AccuracyError(f"f[{m}, {k}] = {c}: the float solve left the float range")
     psi = shift_exponent(f, spec.lam)
     sol = Solution(lam=spec.lam, f=f, psi=psi, iterations_used=used,
                    residual_leading_order=None, mode=psi.mode)
@@ -292,7 +275,7 @@ def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
             for j, w in enumerate(euler_image(sq, q, k, a2, a1, a0)):
                 if w:
                     key = (m + o, j)
-                    out[key] = out.get(key, 0) + c * (Fraction(w, d) if exact else w / d)
+                    out[key] = out.get(key, 0) + c * (Fraction(w, d) if exact else float_ratio(w, d))
     return LogSeries(base - problem.weight, horizon, out)
 
 

@@ -321,6 +321,16 @@ def test_eval_outside_domain_exits_two(bessel_json, capsys):
     assert "solve error:" in capsys.readouterr().err
 
 
+def test_eval_float_beyond_the_float_range_exits_three(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(BESSEL_DOC, q={"-2": "-1/9", "0": "1" + "0" * 150})))
+    assert main(["eval", "--problem", str(path), "--mode", "float", "--c0", "1",
+                 "--z", "0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "accuracy error:" in captured.err
+
+
 def test_eval_checks_every_point_before_printing(capsys):
     bessel = str(ROOT / "demos" / "problems" / "bessel.json")
     assert main(["eval", "--problem", bessel, "--c0", "1",
@@ -557,7 +567,7 @@ OPTIONS_INVENTORY = {
     ("contour_eval", "spec"), ("contour_eval", "tol"),
     ("contour_eval", "full_output"),
     ("residue_eval", "terms"), ("residue_eval", "full_output"),
-    ("family_operator", "order"), ("make_f0", "order"),
+    ("family_operator", "order"),
     ("map_gegenbauer", "series_cutoff"), ("solve", "order"),
     ("solve_log_second", "order"), ("struve_series", "scaled"),
     *(("solve", opt) for opt in (

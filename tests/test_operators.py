@@ -8,9 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from regsing.logseries import (
+    AccuracyError,
     LogSeries,
     NonIntegerExponentGap,
     differentiate,
+    integrate,
     linear_combine,
     mul_poly,
     shift_exponent,
@@ -32,6 +34,24 @@ def mono(coeff, sigma, order=8, k=0):
 
 
 # ----------------------------------------------------------------------- L
+
+def _apply_L_composed(spec, f):
+    """L f composed from the series primitives, integrate after
+    shift_exponent after integrate, each float exponent guarded against a
+    resonance: the oracle of the monomial kernel apply_L."""
+    inner = shift_exponent(f, spec.alpha)
+    _resonance_guard(inner)
+    mid = shift_exponent(integrate(inner), -spec.alpha)
+    _resonance_guard(mid)
+    return integrate(mid)
+
+
+def _resonance_guard(g):
+    for m, _k in g.coeffs:
+        p = g.sigma + m
+        if isinstance(p, float) and 0 < abs(p + 1) < 1e-12:
+            raise SingularTerm(f"exponent {p} within 1e-12 of the resonant value -1")
+
 
 def test_L_constant_alpha3():
     out = apply_L(plain_spec(Fr(3)), mono(1, 0))
@@ -212,7 +232,7 @@ def _dense_apply_A(spec, f, c_coeffs, d_coeffs, has_z_d2_term):
     if has_z_d2_term:
         integrand = linear_combine(1, integrand, 1,
                                    mul_poly(differentiate(df), [(1, -1)]))
-    return apply_L(spec, integrand)
+    return _apply_L_composed(spec, integrand)
 
 
 @given(st.lists(st.sampled_from((Fr(0), Fr(0), Fr(1, 2), Fr(-3))), min_size=4, max_size=4),
@@ -258,7 +278,7 @@ def _apply_A_composed(spec, f):
     if z_d2:
         integrand = linear_combine(
             1, integrand, 1, shift_exponent(mul_poly(differentiate(df), z_d2), 1))
-    return apply_L(spec, integrand)
+    return _apply_L_composed(spec, integrand)
 
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -289,8 +309,8 @@ def resonant_exponent(draw, spec):
     return draw(st.sampled_from((-spec.alpha - i, Fr(-1 - i), draw(small))))
 
 
-def _assert_kernel_matches_composition(spec, f):
-    out, oracle = apply_A(spec, f), _apply_A_composed(spec, f)
+def _assert_kernel_matches_composition(spec, f, kernel=apply_A, composed=_apply_A_composed):
+    out, oracle = kernel(spec, f), composed(spec, f)
     assert out.coeffs == oracle.coeffs
     assert (out.sigma, out.order) == (oracle.sigma, oracle.order)
     assert all(type(c) is Fr for c in out.coeffs.values())
@@ -318,6 +338,19 @@ def test_A_kernel_matches_composition_on_series(data):
         spec, LogSeries(sigma, 6, {(m, k): c for m, k, c in terms}))
 
 
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_L_kernel_matches_composition_on_series(data):
+    # resonant_exponent at i >= 1 puts row i - 1 on one of L's resonances,
+    # s + alpha = -1 or s = -2; alpha = 1 makes them one
+    spec = data.draw(st.one_of(st.just(plain_spec(Fr(1))), exact_specs()))
+    sigma = data.draw(resonant_exponent(spec))
+    terms = data.draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3), rationals),
+                               min_size=1, max_size=6))
+    _assert_kernel_matches_composition(
+        spec, LogSeries(sigma, 6, {(m, k): c for m, k, c in terms}), apply_L, _apply_L_composed)
+
+
 # --------------------------------------- float kernel vs the dyadic image
 
 def float_spec(spec):
@@ -331,37 +364,49 @@ def dyadic_spec(spec):
                         tuple((o, *map(Fr, a)) for o, *a in spec.slots))
 
 
-def _branches_agree(spec, f):
-    """Whether, for every term of f and slot of the float spec, each of L's
-    two integrations takes the log branch on the float exponent exactly
-    where the dyadic exponent is -1, with no float exponent left within
-    1e-12 of the resonance."""
-    lead, exact = f.sigma - 1 + spec.alpha, Fr(f.sigma) - 1 + Fr(spec.alpha)
+def _branches_agree(spec, f, lift=0):
+    """Whether, for every term of f and slot of the float spec (L's one
+    slot at lift 1), each of L's two integrations takes the log branch on
+    the float exponent exactly where the dyadic exponent is -1, with no
+    float exponent left within 1e-12 of the resonance."""
+    slots = ((1,),) if lift else spec.slots
+    lead = f.sigma + (lift - 1) + spec.alpha
+    exact = Fr(f.sigma) + (lift - 1) + Fr(spec.alpha)
     for m, _k in f.coeffs:
-        for o, *_ in spec.slots:
+        for o, *_ in slots:
             i = o - 1
             for p, want in ((lead + (m + i), exact + (m + i)),
-                            (lead + 1 - spec.alpha + (m + i), Fr(f.sigma) + (m + i))):
+                            (lead + 1 - spec.alpha + (m + i), Fr(f.sigma) + lift + (m + i))):
                 if (p == -1) != (want == -1) or 0 < abs(p + 1) < 1e-12:
                     return False
     return True
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_A_float_kernel_within_2_ulp_of_the_dyadic_image(data):
+def _assert_float_kernel_within_2_ulp(data, kernel, lift):
     spec = float_spec(data.draw(exact_specs()))
     s = float(data.draw(resonant_exponent(dyadic_spec(spec))))
     m = data.draw(st.integers(0, 6))
     k = data.draw(st.integers(0, 3))
     c = float(data.draw(st.fractions(max_denominator=10**6).filter(lambda x: x != 0)))
     f = LogSeries(s - m, 6, {(m, k): c})
-    assume(_branches_agree(spec, f))
-    out = apply_A(spec, f)
-    want = apply_A(dyadic_spec(spec), LogSeries(Fr(f.sigma), 6, {(m, k): Fr(c)}))
+    assume(_branches_agree(spec, f, lift))
+    out = kernel(spec, f)
+    want = kernel(dyadic_spec(spec), LogSeries(Fr(f.sigma), 6, {(m, k): Fr(c)}))
     assert out.coeffs.keys() == want.coeffs.keys()
     for key, w in want.coeffs.items():
         assert abs(out.coeffs[key] - float(w)) <= 2 * math.ulp(float(w))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_A_float_kernel_within_2_ulp_of_the_dyadic_image(data):
+    _assert_float_kernel_within_2_ulp(data, apply_A, 0)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_L_float_kernel_within_2_ulp_of_the_dyadic_image(data):
+    _assert_float_kernel_within_2_ulp(data, apply_L, 1)
 
 
 def test_A_float_resonance_at_each_integration():
@@ -372,6 +417,13 @@ def test_A_float_resonance_at_each_integration():
     for s in (-2.5 + 1e-14, -1.0 + 1e-14):
         with pytest.raises(SingularTerm):
             apply_A(spec, mono(1.0, s))
+
+
+def test_A_float_scale_beyond_the_float_range_is_an_accuracy_error():
+    # the image scale of the one slot is near 2^1059
+    spec = OperatorSpec(alpha=2.5, lam=0.0, slots=((1, 0.0, 0.0, 1e308),))
+    with pytest.raises(AccuracyError, match="overflows a float"):
+        apply_A(spec, mono(1.0, -2.5 + 1e-11, 4))
 
 
 def test_A_contraction_on_probe_basis():

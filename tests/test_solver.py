@@ -26,6 +26,7 @@ from regsing.catalog import (
 )
 from regsing.cli import _to_float_problem
 from regsing.logseries import (
+    AccuracyError,
     LogSeries,
     differentiate,
     evaluate,
@@ -243,25 +244,29 @@ def _multi_term_problem(n):
     (_multi_term_problem, 40),
 ], ids=["hyp2f1", "multi_term"])
 def test_resolvent_applies_A_once_per_coefficient(build, order, monkeypatch):
-    # structural linearity guard: A sees each nonzero coefficient of f once,
-    # as a single monomial, and the resolvent copies no accumulated series
+    # structural linearity guard: A's kernel sees each nonzero coefficient of
+    # f once, as a single monomial, and the resolvent copies no accumulated
+    # series
     fed = []
     combined = []
-    real_apply_A, real_combine = regsing.solver.apply_A, regsing.solver.linear_combine
+    real_kernel, real_combine = regsing.solver._kernel, regsing.solver.linear_combine
 
-    def counting_apply_A(spec, f):
-        fed.append(len(f.coeffs))
-        return real_apply_A(spec, f)
+    def counting_kernel(*args):
+        image = real_kernel(*args)
+
+        def counting_image(m, k):
+            fed.append(1)
+            return image(m, k)
+        return counting_image
 
     def counting_combine(*args):
         combined.append(1)
         return real_combine(*args)
 
-    monkeypatch.setattr(regsing.solver, "apply_A", counting_apply_A)
+    monkeypatch.setattr(regsing.solver, "_kernel", counting_kernel)
     monkeypatch.setattr(regsing.solver, "linear_combine", counting_combine)
     sol = solve(build(order), 1, 1, 0, order=order)
-    assert len(fed) <= len(sol.f.coeffs)
-    assert sum(fed) <= len(sol.f.coeffs)
+    assert 0 < len(fed) <= len(sol.f.coeffs)
     # only the residual's few combinations, as many at order 12
     at_order = len(combined)
     combined.clear()
@@ -756,6 +761,14 @@ def test_index_mismatch_float_near_resonance():
                       series_cutoff=8)
     with pytest.raises(IndexMismatch):
         solve(prob, 1, 0, 1.0, order=8)
+
+
+def test_float_solve_beyond_the_float_range_is_an_accuracy_error():
+    # the coefficients pass 1e308 by row 6; the residual's tolerance would
+    # be inf there and report the solve clean
+    prob = OdeProblem("two_point", {-1: 1.0}, {-2: -1 / 9, 0: 1e150}, series_cutoff=12)
+    with pytest.raises(AccuracyError, match=r"f\[6, 0\] = -inf"):
+        solve(prob, 1, 1.0, 0.0)
 
 
 # exact problems whose smaller root sits an integer below the larger one and
