@@ -20,6 +20,7 @@ from .catalog import (
     hyp2f1_series,
     log_second_c1,
     log_second_c2,
+    log_second_recurrence_streams,
     pochhammer,
     struve_prefactor,
     struve_series,
@@ -31,9 +32,7 @@ from .logseries import (
     NonIntegerExponentGap,
     differentiate,
     evaluate,
-    integrate,
     linear_combine,
-    mul_poly,
     shift_exponent,
     truncate,
     weighted_norm_estimate,
@@ -73,7 +72,6 @@ from .solver import (
     IndexMismatch,
     Solution,
     contraction_report,
-    log_second_recurrence_streams,
     neumann_apply_resolvent,
     residual,
     solve,
@@ -125,7 +123,6 @@ __all__ = [
     "hyp1f1_series",
     "hyp2f1_series",
     "indicial",
-    "integrate",
     "linear_combine",
     "log_second_c1",
     "log_second_c2",
@@ -133,7 +130,6 @@ __all__ = [
     "make_f0",
     "map_gegenbauer",
     "mellin_integrand",
-    "mul_poly",
     "neumann_apply_resolvent",
     "parse_problem",
     "pochhammer",

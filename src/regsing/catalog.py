@@ -1,8 +1,13 @@
 """Reference series for the special functions the solver reproduces.
 
 Everything here is built from classical coefficient formulas (Pochhammer
-symbols, harmonic numbers), never from the operator pipeline, so that
-agreement tests against the solver are non-circular.
+symbols, harmonic numbers) or the classical recurrences of the logarithmic
+case (log_second_recurrence), never from the operator pipeline, so that
+agreement tests against the solver are non-circular.  The computing
+modules (logseries, problem, operators, solver, mellin) read nothing here
+but ParameterError and struve_prefactor, and compute every coefficient
+through the operator A; the CLI's compare command and the tests hold these
+series against them.
 
 Normalizations used (chosen so the coefficients stay rational):
 
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 from .logseries import LogSeries
 from .scalars import Scalar, as_int, is_exact
@@ -128,6 +134,30 @@ def log_second_c1(n: int, m: int) -> Fraction:
 def log_second_c2(n: int, m: int) -> Fraction:
     """Power-stream mate: c2(m) = -c1(m) (H_m - H_n + H_{m+n})/2."""
     return -log_second_c1(n, m) * (harmonic(m) - harmonic(n) + harmonic(m + n)) / 2
+
+
+def log_second_recurrence(n: int):
+    """The endless pairs (c1(m), c2(m)), m = 0, 1, 2, ..., of the log-case
+    recurrences, iterated from the base step c1(0) = 1/(4^n n!^2), c2(0) = 0:
+
+        c1(m+1) = c1(m)/((1+m)(1+m+n))
+        c2(m+1) = c2(m)/((1+m)(1+m+n)) - c1(m)(2+2m+n)/(2(1+m)^2(1+m+n)^2)
+    """
+    c1 = Fraction(1, 4**n * math.factorial(n) ** 2)
+    c2 = Fraction(0)
+    m = 0
+    while True:
+        yield c1, c2
+        den = (1 + m) * (1 + m + n)
+        c2 = (c2 - c1 * Fraction(2 + 2 * m + n, 2 * den)) / den
+        c1 = c1 / den
+        m += 1
+
+
+def log_second_recurrence_streams(n: int, m_max: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The streams (c1(0..m_max), c2(0..m_max)) of log_second_recurrence."""
+    c1s, c2s = zip(*islice(log_second_recurrence(n), max(m_max, 0) + 1))
+    return c1s, c2s
 
 
 def bessel_log_second_series(n: int, order: int) -> LogSeries:

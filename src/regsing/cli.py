@@ -42,10 +42,9 @@ from .mellin import (
     contour_eval,
     residue_eval,
 )
-from .operators import SingularTerm
-from .problem import ComplexRootsUnsupported, OdeProblem
-from .scalars import parse_rational
-from .solver import IndexMismatch, solve
+from .problem import OdeProblem
+from .scalars import is_exact, parse_rational
+from .solver import solve
 
 
 class ParseError(ValueError):
@@ -298,9 +297,15 @@ def cmd_eval(args) -> int:
     outside = [z for z in points if z >= problem.radius]
     # whether the series terminates is a property of the equation and the
     # seeds: a float solve's None only says its residual is under the float
-    # tolerance, so the exact solve decides
+    # tolerance, so the exact solve decides.  At an irrational root the
+    # exact solve runs in floats too, and nothing decides it
     if outside:
         exact = sol if args.mode == "exact" else _solve_in("exact", problem, args)
+        if not is_exact(exact.lam):
+            raise DomainError(f"z = {outside[0]} is outside the disc |z| < "
+                              f"{problem.radius}, and at the irrational root "
+                              f"lambda = {exact.lam} whether the series terminates "
+                              f"cannot be decided")
         if exact.residual_leading_order is not None:
             raise DomainError(f"z = {outside[0]} is outside the disc |z| < "
                               f"{problem.radius} of a series that does not terminate")
@@ -439,9 +444,9 @@ def main(argv=None) -> int:
     except (AccuracyError, PoleError) as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return 3
-    except (ComplexRootsUnsupported, NonIntegerExponentGap, SingularTerm,
-            IndexMismatch, DomainError, ParameterError, ValueError,
-            ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # every solve-domain error (DomainError, ParameterError,
+        # SingularTerm, IndexMismatch, ...) subclasses one of the two
         print(f"solve error: {exc}", file=sys.stderr)
         return 2
 

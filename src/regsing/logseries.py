@@ -169,31 +169,6 @@ def linear_combine(a: Scalar, f: LogSeries, b: Scalar, g: LogSeries) -> LogSerie
     return LogSeries(sigma, order, out)
 
 
-def mul_poly(f: LogSeries, poly: list[tuple[int, Scalar]]) -> LogSeries:
-    """f times a Laurent-free polynomial given as (power, coeff) pairs.
-
-    Powers must be non-negative integers.  The result is based at
-    sigma + min(power) and keeps f's order: coefficients above it would
-    need unknown terms of f.
-    """
-    if not poly:
-        raise ValueError("poly must be nonempty")
-    for d, _ in poly:
-        if d < 0 or d != int(d):
-            raise ValueError("poly powers must be non-negative integers")
-    dmin = min(d for d, _ in poly)
-    out: dict[tuple[int, int], Scalar] = {}
-    for d, p in poly:
-        if p == 0:
-            continue
-        off = d - dmin
-        for (m, k), c in f.coeffs.items():
-            mm = m + off
-            if mm <= f.order:
-                out[(mm, k)] = out.get((mm, k), 0) + p * c
-    return LogSeries(f.sigma + dmin, f.order, out)
-
-
 def differentiate(f: LogSeries) -> LogSeries:
     """Term rule d/dz [z^p log^k z] = p z^{p-1} log^k z + k z^{p-1} log^{k-1} z."""
     out: dict[tuple[int, int], Scalar] = {}
@@ -204,33 +179,6 @@ def differentiate(f: LogSeries) -> LogSeries:
         if k > 0:
             out[(m, k - 1)] = out.get((m, k - 1), 0) + c * k
     return LogSeries(f.sigma - 1, f.order, out)
-
-
-def integrate(f: LogSeries) -> LogSeries:
-    """Indefinite integral, integration constant zero.
-
-    For p = sigma+m != -1:
-        int z^p log^k z dz = z^{p+1} sum_{j=0..k} (-1)^j k!/(k-j)! / (p+1)^{j+1} log^{k-j} z
-    (integration by parts, j=0 term is the familiar z^{p+1} log^k z/(p+1)).
-    For p = -1: int z^{-1} log^k z dz = log^{k+1} z / (k+1), raising K.
-    """
-    out: dict[tuple[int, int], Scalar] = {}
-    for (m, k), c in f.coeffs.items():
-        p = f.sigma + m
-        if p == -1:
-            key = (m, k + 1)
-            out[key] = out.get(key, 0) + c * _inv(k + 1, c)
-        else:
-            fall = 1  # k!/(k-j)! running product
-            for j in range(k + 1):
-                if j > 0:
-                    fall *= k - j + 1
-                w = c * fall * _invpow(p + 1, j + 1, c)
-                if j % 2:
-                    w = -w
-                key = (m, k - j)
-                out[key] = out.get(key, 0) + w
-    return LogSeries(f.sigma + 1, f.order, out)
 
 
 # Monomial kernels.  The exact images of one monomial z^s log^k z under an
@@ -274,9 +222,12 @@ def integrate_log_vector(v: list[int], pq: int, q: int) -> tuple[list[int], int]
     """(w, d): int z^p sum_j v[j] log^j z dz = z^{p+1} sum_j w[j]/d log^j z,
     where p + 1 = pq/q; integration constant zero.
 
-    The monomial rules of integrate: at p = -1 (pq = 0) every log power
-    rises by one, log^j z -> log^{j+1} z/(j+1); otherwise log^j z gives
-    sum_t (-1)^t j!/(j-t)! q^{t+1}/pq^{t+1} log^{j-t} z, put over pq^n.
+    The monomial rules of integration by parts: at p = -1 (pq = 0) every
+    log power rises by one, log^j z -> log^{j+1} z/(j+1); otherwise log^j z
+    gives sum_t (-1)^t j!/(j-t)! q^{t+1}/pq^{t+1} log^{j-t} z, put over
+    pq^n.  The branch is the caller's: pq = 0 takes the log branch.  A float
+    exponent p takes it at p == -1, and within 0 < |p + 1| < 1e-12 the
+    branch cannot be decided (operators._float_branch).
     """
     n = len(v)
     if pq == 0:
@@ -302,17 +253,6 @@ def float_ratio(w: int, d: int) -> float:
         return w / d
     except OverflowError as exc:
         raise AccuracyError("a term scale w / d overflows a float") from exc
-
-
-def _inv(x: Scalar, like: Scalar) -> Scalar:
-    # reciprocal matching the coefficient's mode
-    if isinstance(like, float) or isinstance(x, float):
-        return 1.0 / x
-    return Fraction(1, 1) / Fraction(x)
-
-
-def _invpow(x: Scalar, j: int, like: Scalar) -> Scalar:
-    return _inv(x, like) ** j
 
 
 def evaluate(f: LogSeries, z: float) -> float:

@@ -10,7 +10,8 @@ residues at s = -k reproduce the series term by term.  This module provides:
 - CatalogFamily: validated (tag, params) records for the supported families,
   each defined once by its term ratio A^{n+1}/A^n = K prod(n+t)/prod(n+b)
   (_term_ratio) and by its equation, root and seeds (_family_problem);
-- integer_powers: the exact A^n(seed), n = 0, 1, 2, ..., one ratio step each;
+- integer_powers: the exact A^n(seed), n = 0, 1, 2, ..., one ratio step each
+  (for the logarithmic family, one application of its own A each);
 - fractional_power_coeff: the coefficient/exponent data of A^v(seed), from
   integer_powers at integer v and the gamma form of the term ratio otherwise;
 - mellin_integrand / contour_eval: the line integrand and its trapezoid
@@ -45,7 +46,7 @@ from .logseries import AccuracyError, LogSeries
 from .operators import apply_A
 from .problem import OdeProblem, root_index, transform
 from .scalars import Scalar, as_int, is_exact
-from .solver import _driving_term, log_second_recurrence
+from .solver import _driving_term
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -76,18 +77,26 @@ def _is_nonpositive_int(s: complex) -> bool:
 
 
 def complex_gamma(s: complex) -> complex:
-    """Gamma(s) for complex s; reflection formula below Re s = 1/2."""
+    """Gamma(s) for complex s; reflection formula below Re s = 1/2.
+
+    Raises AccuracyError, chained from the OverflowError, where a factor on
+    the way leaves the float range: the Lanczos factor t^(w + 1/2) does so
+    from |Re s| about 142 on, even where Gamma(s) is itself a finite float.
+    """
     s = complex(s)
     if _is_nonpositive_int(s):
         raise PoleError(f"gamma pole at {s}")
-    if s.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * s) * complex_gamma(1.0 - s))
-    w = s - 1.0
+    reflect = s.real < 0.5
+    w = (1.0 - s if reflect else s) - 1.0
     acc = _LANCZOS[0]
     for k, c in enumerate(_LANCZOS[1:], start=1):
         acc += c / (w + k)
     t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
+    try:
+        g = math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
+        return math.pi / (cmath.sin(math.pi * s) * g) if reflect else g
+    except OverflowError as exc:
+        raise AccuracyError(f"Gamma(s) at s = {s} overflows a float ({exc})") from exc
 
 
 def _recip_gamma(s: complex) -> complex:
@@ -281,7 +290,8 @@ def family_operator(family: CatalogFamily, order: int = 20):
     The callable is the A of the family's equation (_family_problem), the
     same operator the solver iterates, and the seed is the solver's driving
     term, so v-fold application is the exact integer-order reference for
-    fractional_power_coeff.
+    fractional_power_coeff.  The logarithmic family's integer_powers are
+    computed this way; the other families' are checked against it.
     """
     prob, root, c0, c1 = _family_problem(family, order)
     spec = transform(prob, root)
@@ -318,8 +328,8 @@ def _as_nonneg_int(v):
 def fractional_power_coeff(family: CatalogFamily, v) -> PowerData:
     """Coefficient/exponent data of A^v applied to the family seed.
 
-    Integer v >= 0 is the v-th element of integer_powers (v term-ratio
-    steps): exact rationals equal to v-fold family_operator application for
+    Integer v >= 0 is the v-th element of integer_powers (v steps): exact
+    rationals equal to v-fold family_operator application for
     exact params, and within 1e-13 relative of the Pochhammer closed forms
     for float params and v <= 200, wherever those stay normal floats.
     Non-integer v continues the term ratio A^{n+1}/A^n = K prod(n + t) /
@@ -357,7 +367,7 @@ def fractional_power_coeff(family: CatalogFamily, v) -> PowerData:
                 for b in form.bottoms:
                     coeff *= _recip_gamma(b + v)
                 data = PowerData(coeff, form.base + form.step * v)
-        except OverflowError as exc:
+        except (OverflowError, AccuracyError) as exc:
             raise AccuracyError(f"A^{v} of {family.tag} overflows a float ({exc})") from exc
     if _overflows(data.coefficient) or _overflows(data.log_coefficient):
         raise AccuracyError(f"A^{v} of {family.tag} is not a finite float: coefficient "
@@ -374,9 +384,14 @@ def integer_powers(family: CatalogFamily):
     rationals, equal to n-fold family_operator application.  With float
     parameters each step rounds; the values agree with the Pochhammer closed
     forms to 1e-13 relative for n <= 200, wherever those stay normal floats.
+
+    The logarithmic family has no term ratio.  Its powers are that n-fold
+    application itself (_operator_powers): Fraction coefficients at int
+    exponents, with the int log coefficient 0 below the root gap and a
+    Fraction from the gap on.
     """
     if family.tag == "BesselLogSecond":
-        yield from _log_second_powers(family.param("n"))
+        yield from _operator_powers(family)
         return
     coeff, k, tops, bottoms, base, step = _term_ratio(family)
     n = 0
@@ -450,17 +465,17 @@ def _gamma_form(family: CatalogFamily) -> GammaForm:
                      tops, bottoms, tuple(line_bottoms), cancels_one, float(base), step)
 
 
-def _log_second_powers(nn: int):
-    """Integer powers of BesselLogSecond(nn): below the gap, pure powers
-    from -1/(2 nn) with ratio -1/(4 n (nn - n)) into step n; from n = nn + m
-    on, the log-case recurrence's c1(m) and c2(m), scaled by (-1)^nn 4^-m."""
-    for n in range(nn):
-        head = Fraction(-1, 2 * nn) if n == 0 else head * Fraction(-1, 4 * n * (nn - n))
-        yield PowerData(head, 2 * (n - nn))
-    scale = Fraction(1 if nn % 2 == 0 else -1)
-    for m, (c1, c2) in enumerate(log_second_recurrence(nn)):
-        yield PowerData(scale * c2, 2 * m, scale * c1)
-        scale /= 4
+def _operator_powers(family: CatalogFamily):
+    """A^n(seed) for a family whose every power is a single row
+    z^e (c + l log z): one application of family_operator's A to the
+    previous power, taken alone at horizon 1 so that its image is kept."""
+    power, apply_one = family_operator(family, 1)
+    while True:
+        (m,) = {m for m, _ in power.coeffs}
+        e = as_int(power.sigma + m)
+        c, l = power.coefficient(m, 0), power.coefficient(m, 1)
+        yield PowerData(Fraction(c), e, Fraction(l) if l else 0)
+        power = apply_one(LogSeries(e, 1, {(0, 0): c, (0, 1): l}))
 
 
 def evaluate_power(data: PowerData, z: float) -> complex:
@@ -504,7 +519,7 @@ def residue_eval(family: CatalogFamily, z: float, terms: int = 60,
 
     Residue of the integrand at s = -k is (-1)^k A^k(seed), so this is the
     truncated Neumann sum and converges for 0 < z < 1.  The residues come
-    from one walk of integer_powers, `terms` exact term-ratio steps, and are
+    from one walk of integer_powers, `terms` exact steps, and are
     bit-identical to the closed forms.  The sum is not checked for
     convergence: it always adds `terms` residues, and near z = 1 the terms
     decay slowly and the partial sum can be far off.  full_output=True
@@ -552,7 +567,8 @@ def mellin_integrand(family: CatalogFamily, s: complex, z: float) -> complex:
     determination, -i pi, is the mirror image conj(integrand(conj s)).
 
     Raises AccuracyError when a factor overflows a float, as K^{-s} does
-    for K < 0 once pi |Im s| passes about 709.
+    for K < 0 once pi |Im s| passes about 709, and as the gamma_form's
+    Gamma(1 + nu) does for Bessel nu = 200.
     """
     s = complex(s)
     zf = float(z)
@@ -561,8 +577,8 @@ def mellin_integrand(family: CatalogFamily, s: complex, z: float) -> complex:
     if family.tag == "BesselLogSecond":
         data = fractional_power_coeff(family, -s)
         return complex_gamma(s) * complex_gamma(1 - s) * evaluate_power(data, zf)
-    form = family.gamma_form
     try:
+        form = family.gamma_form
         val = (complex_gamma(s) * form.scale
                * cmath.exp((form.base - form.step * s) * math.log(zf) - s * form.log_k))
         if not form.cancels_one:
@@ -571,7 +587,7 @@ def mellin_integrand(family: CatalogFamily, s: complex, z: float) -> complex:
             val *= complex_gamma(t - s)
         for b in form.line_bottoms:
             val *= _recip_gamma(b - s)
-    except OverflowError as exc:
+    except (OverflowError, AccuracyError) as exc:
         raise AccuracyError(f"the integrand of {family.tag} at s = {s} overflows a "
                             f"float ({exc})") from exc
     return val * family_target_factor(family, zf)

@@ -40,9 +40,9 @@ dyadic rationals, so float mode reads sigma, alpha and the slots exactly
 and rounds only the scale of each output term before multiplying it in.
 
 In exact-rational mode every monomial has a well-defined image.  Float mode
-decides each log branch on the float exponent, as integrate does, and
-SingularTerm fires when an exponent sits too close to a resonance for the
-branch to be decided reliably.
+decides each log branch on the float exponent p of the integrand: the log
+branch at p == -1, the power branch otherwise, and SingularTerm when
+0 < |p + 1| < 1e-12, where the branch cannot be decided reliably.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def _kernel(spec: OperatorSpec, sigma: Scalar, order: int, integer_slots, lift: 
     log^j z of each slot i whose integrand sits at z^{s-1+lift+i}, rows above
     `order` dropped.  The scale is Fraction(w, d), or in float mode the float
     w / d (Python's int division rounds it correctly), and each float branch
-    is decided on the float exponent that integrate reads."""
+    is decided on the float exponent p of its integrand (_float_branch)."""
     den, slots = integer_slots
     exact = spec.mode == "exact" and is_exact(sigma)
     alpha = spec.alpha
@@ -161,9 +161,9 @@ def _kernel(spec: OperatorSpec, sigma: Scalar, order: int, integer_slots, lift: 
 
 def _float_branch(p: Scalar, pq: int) -> int:
     """The numerator pq of p + 1 for an integration at the float exponent
-    p, with the branch decided on p as integrate decides it: 0 (the log
-    branch) at p == -1, SingularTerm within 1e-12 of it.  The dyadic pq
-    misses the resonance where float arithmetic landed on it."""
+    p, with the branch decided on p: 0 (the log branch) at p == -1, and
+    SingularTerm when 0 < |p + 1| < 1e-12; pq itself otherwise.  The dyadic
+    pq misses the resonance where float arithmetic landed on it."""
     if p == -1:
         return 0
     if isinstance(p, float) and 0 < abs(p + 1) < 1e-12:

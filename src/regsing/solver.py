@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 
 from .logseries import (
     AccuracyError,
@@ -279,37 +278,13 @@ def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
     return LogSeries(base - problem.weight, horizon, out)
 
 
-def log_second_recurrence(n: int):
-    """The endless pairs (c1(m), c2(m)), m = 0, 1, 2, ..., of the log-case
-    recurrences, iterated from the base step c1(0) = 1/(4^n n!^2), c2(0) = 0:
-
-        c1(m+1) = c1(m)/((1+m)(1+m+n))
-        c2(m+1) = c2(m)/((1+m)(1+m+n)) - c1(m)(2+2m+n)/(2(1+m)^2(1+m+n)^2)
-    """
-    c1 = Fraction(1, 4**n * math.factorial(n) ** 2)
-    c2 = Fraction(0)
-    m = 0
-    while True:
-        yield c1, c2
-        den = (1 + m) * (1 + m + n)
-        c2 = (c2 - c1 * Fraction(2 + 2 * m + n, 2 * den)) / den
-        c1 = c1 / den
-        m += 1
-
-
-def log_second_recurrence_streams(n: int, m_max: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """The streams (c1(0..m_max), c2(0..m_max)) of log_second_recurrence."""
-    c1s, c2s = zip(*islice(log_second_recurrence(n), max(m_max, 0) + 1))
-    return c1s, c2s
-
-
 def solve_log_second(problem: OdeProblem, n: int, order: int | None = None) -> Solution:
     """Second solution of a Bessel-shaped problem with the root gap 2n, via
     the generic pipeline: the c1 seed is z^{-2n}/(-2n) (log z when n = 0)
     and the log branch of L fires at the resonant step.  The coefficient
     streams (c1, c2) of the log-case recurrence ride along as
     Solution.log_streams, read off the solve's f on first read, so they can
-    be held against the independent log_second_recurrence_streams.
+    be held against the independent catalog.log_second_recurrence_streams.
 
     The log solution at any integer gap, odd or even, is
     solve(problem, 1, 0, 1); this helper only adds the streams.

@@ -16,6 +16,7 @@ from regsing.catalog import (
     bessel_j_series,
     hyp1f1_series,
     hyp2f1_series,
+    log_second_recurrence_streams,
     struve_prefactor,
 )
 from regsing.logseries import LogSeries, differentiate, evaluate
@@ -33,7 +34,6 @@ from regsing.mellin import (
 from regsing.problem import OdeProblem, map_gegenbauer, transform
 from regsing.solver import (
     contraction_report,
-    log_second_recurrence_streams,
     residual,
     solve,
     solve_log_second,

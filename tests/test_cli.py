@@ -382,6 +382,25 @@ def test_eval_refuses_points_outside_the_disc_in_float_mode(tmp_path, capsys):
         assert "outside the disc |z| < 1" in captured.err
 
 
+def test_eval_at_an_irrational_root_refuses_points_outside_the_disc(tmp_path, capsys):
+    # q_{-2} = 1 gives the roots of lambda^2 + 19 lambda + 1: the exact solve
+    # runs in floats, so whether the series terminates is not decided, and
+    # its partial sum read 0.988801634966 at z = 1.5
+    path = tmp_path / "irrational.json"
+    path.write_text(json.dumps({"kind": "three_point", "p": {"-1": "20", "0": "-11/6"},
+                                "q": {"-2": "1", "-1": "-1/6"}, "series_cutoff": 40}))
+    for mode in ("exact", "float"):
+        assert main(["eval", "--problem", str(path), "--c0", "1", "--mode", mode,
+                     "--z", "1.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside the disc |z| < 1" in captured.err
+        assert "irrational root" in captured.err
+        assert main(["eval", "--problem", str(path), "--c0", "1", "--mode", mode,
+                     "--z", "0.5"]) == 0
+        assert capsys.readouterr().out == "psi(0.5) = 1.04060716278\n"
+
+
 def test_eval_of_a_two_point_problem_has_no_disc(bessel_json, capsys):
     assert main(["eval", "--problem", bessel_json, "--c0", "1",
                  "--z", "50"]) == 0
@@ -508,6 +527,16 @@ def test_contour_integrand_that_overflows_a_float_exits_three(capsys):
     assert code == 3
     assert captured.out == ""
     assert "the integrand of Exp" in captured.err and "overflows a float" in captured.err
+
+
+def test_contour_whose_gamma_overflows_a_float_exits_three(capsys):
+    # Gamma(1 + nu) leaves the float range at nu = 200: an accuracy failure
+    code = main(["contour", "--family", "bessel", "--nu", "200", "--z", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("accuracy error: the integrand of BesselRegular")
+    assert "overflows a float" in captured.err
 
 
 def test_contour_bad_spec_exits_two(capsys):

@@ -13,14 +13,14 @@ from regsing.logseries import (
     NonIntegerExponentGap,
     differentiate,
     evaluate,
-    integrate,
     linear_combine,
-    mul_poly,
     shift_exponent,
     truncate,
     weighted_norm_estimate,
 )
 from regsing.scalars import as_int, is_exact, mode, parse_rational
+
+from test_operators import integrate, mul_poly
 
 
 def series(sigma, order, terms):

@@ -34,7 +34,7 @@ from regsing.catalog import (
     struve_series,
 )
 from regsing.cli import main
-from regsing.logseries import LogSeries, integrate
+from regsing.logseries import LogSeries
 from regsing.mellin import (
     _FAMILY_PARAMS,
     _TRIG_VARIANTS,
@@ -68,6 +68,7 @@ from regsing.scalars import as_int
 from regsing.solver import solve
 
 from test_cli import COMPARE_CASES
+from test_operators import integrate
 from test_problem import bessel_problem
 from test_solver import _neumann, struve_problem
 
@@ -118,6 +119,23 @@ def test_gamma_poles():
     for s in (0, -1, -7, 0.0 + 0j, complex(-3, 0)):
         with pytest.raises(PoleError):
             complex_gamma(s)
+
+
+@pytest.mark.parametrize("s", [complex(180.5, 3), complex(-180.5, 3)])
+def test_gamma_that_overflows_a_float_is_an_accuracy_error(s):
+    # the Lanczos factor t^(w + 1/2) leaves the float range, directly and
+    # through the reflection formula
+    with pytest.raises(AccuracyError, match="overflows a float") as exc:
+        complex_gamma(s)
+    assert isinstance(exc.value.__cause__, OverflowError)
+
+
+def test_integrand_whose_gamma_form_overflows_is_refused():
+    # Gamma(1 + nu) of the gamma_form scale leaves the float range at nu = 200
+    family = catalog_family("BesselRegular", nu=200)
+    with pytest.raises(AccuracyError, match="the integrand of BesselRegular at s = "
+                                            r"\(0\.5\+1j\) overflows a float"):
+        mellin_integrand(family, 0.5 + 1j, 0.5)
 
 
 def test_digamma_values():
@@ -967,6 +985,42 @@ def test_family_tag_dispatch_only_shrinks():
     exp_owners = {(mod, owner) for mod, owner, value in found if value == "Exp"}
     assert exp_owners - TAG_TABLES - {("mellin", "_term_ratio"),
                                       ("mellin", "_family_problem")} == set()
+
+
+def _defs_and_relative_imports():
+    """({top-level function name: modules defining it},
+    {(module, imported module): names}) over src/regsing, where
+    `from . import x` counts as importing the whole of x."""
+    src = Path(regsing.mellin.__file__).parent
+    defined, imported = {}, {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                defined.setdefault(top.name, set()).add(path.stem)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module:
+                        imported.setdefault((path.stem, node.module), set()).add(alias.name)
+                    else:
+                        imported.setdefault((path.stem, alias.name), set()).add("*")
+    return defined, imported
+
+
+def test_the_oracles_stay_out_of_the_runtime():
+    # the composed series calculus (kept in test_operators) and the log-case
+    # recurrence (catalog) are oracles the tests hold the runtime against
+    defined, imported = _defs_and_relative_imports()
+    assert defined["integrate_log_vector"] == {"logseries"}     # the walk sees defs
+    for name in ("integrate", "mul_poly", "_inv", "_invpow", "_log_second_powers"):
+        assert name not in defined, name
+    for name in ("log_second_recurrence", "log_second_recurrence_streams"):
+        assert defined[name] == {"catalog"}, name
+    for module in ("logseries", "problem", "operators", "solver", "mellin"):
+        assert imported.get((module, "catalog"), set()) <= {
+            "ParameterError", "struve_prefactor"}, module
+    assert imported[("mellin", "solver")] == {"_driving_term"}
 
 
 # ------------------------------------------ numpy-free trapezoid, exact sum

@@ -1,6 +1,7 @@
 """Tests for L, f0 and A against the closed-form monomial rules."""
 
 import math
+from fractions import Fraction
 from fractions import Fraction as Fr
 
 import pytest
@@ -12,14 +13,13 @@ from regsing.logseries import (
     LogSeries,
     NonIntegerExponentGap,
     differentiate,
-    integrate,
     linear_combine,
-    mul_poly,
     shift_exponent,
     weighted_norm_estimate,
 )
 from regsing.operators import SingularTerm, apply_A, apply_L, make_f0
 from regsing.problem import OdeProblem, OperatorSpec, transform
+from regsing.scalars import Scalar
 
 from test_problem import bessel_problem, confluent_problem, dense_cd, gauss_problem
 
@@ -31,6 +31,74 @@ def plain_spec(alpha):
 
 def mono(coeff, sigma, order=8, k=0):
     return LogSeries.monomial(coeff, sigma, order, log_power=k)
+
+
+# ------------------------------------------------- the composed calculus
+
+# Test oracles: the series primitives of the composed route, from which the
+# composed A and L below, the oracles of the monomial kernel, are built.
+
+def mul_poly(f: LogSeries, poly: list[tuple[int, Scalar]]) -> LogSeries:
+    """f times a Laurent-free polynomial given as (power, coeff) pairs.
+
+    Powers must be non-negative integers.  The result is based at
+    sigma + min(power) and keeps f's order: coefficients above it would
+    need unknown terms of f.
+    """
+    if not poly:
+        raise ValueError("poly must be nonempty")
+    for d, _ in poly:
+        if d < 0 or d != int(d):
+            raise ValueError("poly powers must be non-negative integers")
+    dmin = min(d for d, _ in poly)
+    out: dict[tuple[int, int], Scalar] = {}
+    for d, p in poly:
+        if p == 0:
+            continue
+        off = d - dmin
+        for (m, k), c in f.coeffs.items():
+            mm = m + off
+            if mm <= f.order:
+                out[(mm, k)] = out.get((mm, k), 0) + p * c
+    return LogSeries(f.sigma + dmin, f.order, out)
+
+
+def integrate(f: LogSeries) -> LogSeries:
+    """Indefinite integral, integration constant zero.
+
+    For p = sigma+m != -1:
+        int z^p log^k z dz = z^{p+1} sum_{j=0..k} (-1)^j k!/(k-j)! / (p+1)^{j+1} log^{k-j} z
+    (integration by parts, j=0 term is the familiar z^{p+1} log^k z/(p+1)).
+    For p = -1: int z^{-1} log^k z dz = log^{k+1} z / (k+1), raising K.
+    """
+    out: dict[tuple[int, int], Scalar] = {}
+    for (m, k), c in f.coeffs.items():
+        p = f.sigma + m
+        if p == -1:
+            key = (m, k + 1)
+            out[key] = out.get(key, 0) + c * _inv(k + 1, c)
+        else:
+            fall = 1  # k!/(k-j)! running product
+            for j in range(k + 1):
+                if j > 0:
+                    fall *= k - j + 1
+                w = c * fall * _invpow(p + 1, j + 1, c)
+                if j % 2:
+                    w = -w
+                key = (m, k - j)
+                out[key] = out.get(key, 0) + w
+    return LogSeries(f.sigma + 1, f.order, out)
+
+
+def _inv(x: Scalar, like: Scalar) -> Scalar:
+    # reciprocal matching the coefficient's mode
+    if isinstance(like, float) or isinstance(x, float):
+        return 1.0 / x
+    return Fraction(1, 1) / Fraction(x)
+
+
+def _invpow(x: Scalar, j: int, like: Scalar) -> Scalar:
+    return _inv(x, like) ** j
 
 
 # ----------------------------------------------------------------------- L

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import regsing.catalog
 import regsing.operators
 import regsing.solver
 from regsing.catalog import (
@@ -21,6 +22,7 @@ from regsing.catalog import (
     hyp2f1_series,
     log_second_c1,
     log_second_c2,
+    log_second_recurrence_streams,
     pochhammer,
     struve_series,
 )
@@ -31,7 +33,6 @@ from regsing.logseries import (
     differentiate,
     evaluate,
     linear_combine,
-    mul_poly,
     shift_exponent,
     truncate,
 )
@@ -41,14 +42,13 @@ from regsing.solver import (
     IndexMismatch,
     _driving_term,
     contraction_report,
-    log_second_recurrence_streams,
     neumann_apply_resolvent,
     residual,
     solve,
     solve_log_second,
 )
 
-from test_operators import dyadic_spec
+from test_operators import dyadic_spec, mul_poly
 from test_problem import bessel_problem, confluent_problem, gauss_problem
 
 
@@ -194,6 +194,49 @@ def test_iteration_count_survives_cancelling_terms(kind, p, q, order, root, seed
     assert sol.f.coeffs == f.coeffs
     assert sol.iterations_used == used
     assert bool(slow) == within
+
+
+def _count_slow_path(monkeypatch):
+    slow = []
+    real = regsing.solver._neumann_count
+    monkeypatch.setattr(regsing.solver, "_neumann_count",
+                        lambda *args: slow.append(args) or real(*args))
+    return slow
+
+
+@pytest.mark.parametrize("c1", [1, -3])
+def test_shorter_chain_into_an_entry_of_one_depth(c1, monkeypatch):
+    # g = 1 + c1 z^3/3 at root 2, and slot 3's image of z^0 vanishes, so row
+    # 3 (depth 0) reaches row 5 after row 2 (depth 1) has: the entry there
+    # stops being all one depth, and its share keeps the deeper part.  At
+    # c1 = -3 the two parts cancel and f[5] = 0, yet the deeper part is not
+    # zero, so the count needs no Neumann loop
+    problem = OdeProblem("two_point", {-1: -2, 2: 1}, {0: 1}, series_cutoff=10)
+    slow = _count_slow_path(monkeypatch)
+    sol = solve(problem, 2, 1, c1)
+    f, used = _oracle_solve(problem, 2, 1, c1, 10)
+    assert sol.f.coeffs == f.coeffs
+    assert (5, 0) in f.coeffs if c1 == 1 else (5, 0) not in f.coeffs
+    assert sol.iterations_used == used == 6
+    assert not slow
+
+
+@pytest.mark.parametrize("p, c0, rows, count", [
+    ({-1: 1.0}, 5e-324, [0], 1),
+    ({-1: 1.0, 1: 0.5}, 1e-322, [0, 2], 2),
+], ids=["bessel", "bessel-p1"])
+def test_float_product_that_rounds_to_zero_adds_no_term(p, c0, rows, count, monkeypatch):
+    # the subnormal seed c0 times an image scale rounds to 0.0 within a few
+    # rows: no entry is made for it, so no zero value stops the count and
+    # sends it to the Neumann loop
+    problem = OdeProblem("two_point", p, {-2: -1 / 9, 0: 1.0}, series_cutoff=8)
+    slow = _count_slow_path(monkeypatch)
+    sol = solve(problem, 1, c0, 0.0)
+    f, used = _oracle_solve(problem, 1, c0, 0.0, 8)
+    assert sol.f.coeffs == f.coeffs
+    assert sorted(m for m, _ in sol.f.coeffs) == rows
+    assert sol.iterations_used == used == count
+    assert not slow
 
 
 @pytest.mark.parametrize("order", [30, 60])
@@ -447,8 +490,8 @@ def test_log_streams_are_read_off_the_solve(monkeypatch, n):
     def refuse(*args):
         raise AssertionError("log_streams iterated the recurrence")
 
-    monkeypatch.setattr(regsing.solver, "log_second_recurrence_streams", refuse)
-    monkeypatch.setattr(regsing.solver, "log_second_recurrence", refuse)
+    monkeypatch.setattr(regsing.catalog, "log_second_recurrence_streams", refuse)
+    monkeypatch.setattr(regsing.catalog, "log_second_recurrence", refuse)
     N = 40
     sol = solve_log_second(bessel_problem(Fr(n), N), n, order=N)
     first = sol.log_streams
