@@ -10,6 +10,7 @@ do not fit a float).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -384,7 +385,11 @@ def _add_family_flags(sub) -> None:
     sub.add_argument("--omega", type=parse_rational, default=Fraction(1))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The regsing argument parser, built once per process: in-process
+    callers of main would otherwise pay its 40-odd add_argument calls each
+    time.  parse_args leaves it as it is; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="regsing",
         description="Series solutions of ODEs with a regular singular point, "

@@ -17,9 +17,11 @@ coeffs dict must not be touched after construction.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .scalars import Scalar, as_int, mode as scalar_mode
+from .scalars import Scalar, as_int, mode as scalar_mode, pair_add, pair_mul, ratio
 
 
 class NonIntegerExponentGap(ValueError):
@@ -185,8 +187,8 @@ def differentiate(f: LogSeries) -> LogSeries:
 # Euler-type differential operator and under integration are small rationals
 # built from s and k alone.  They are computed here in plain integers, with
 # s = sq/q for a fixed denominator q and a log vector held as numerators over
-# one common denominator, so no gcd is taken until the caller builds the
-# final Fractions.
+# one common denominator, so no gcd is taken until the caller scales each
+# term by w/d in its TermArithmetic.
 
 def integer_slots(slots) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
     """(den, slots) with every (o, a2, a1, a0) of the slots scaled to
@@ -253,6 +255,36 @@ def float_ratio(w: int, d: int) -> float:
         return w / d
     except OverflowError as exc:
         raise AccuracyError("a term scale w / d overflows a float") from exc
+
+
+def _identity(x):
+    return x
+
+
+class TermArithmetic(NamedTuple):
+    """How a caller of the monomial kernels combines coefficients with the
+    int term scales w/d they yield: a coefficient enters as value(c), a
+    scale as scale(w, d), and mul, add and nonzero work on those values
+    until final(v) gives the coefficient stored."""
+    value: Callable
+    scale: Callable
+    mul: Callable
+    add: Callable
+    nonzero: Callable
+    final: Callable
+
+
+# exact: reduced int pairs, one Fraction per stored coefficient
+EXACT_TERMS = TermArithmetic(lambda c: (c.numerator, c.denominator), ratio,
+                             pair_mul, pair_add, operator.itemgetter(0),
+                             lambda v: Fraction(*v))
+# float: each scale rounded once (float_ratio), then float arithmetic
+FLOAT_TERMS = TermArithmetic(_identity, float_ratio, operator.mul, operator.add,
+                             bool, _identity)
+# exact scales met by a float coefficient: Fraction products, which turn
+# float only where a float coefficient reaches
+FRACTION_TERMS = TermArithmetic(_identity, Fraction, operator.mul, operator.add,
+                                bool, _identity)
 
 
 def evaluate(f: LogSeries, z: float) -> float:

@@ -79,9 +79,11 @@ def _is_nonpositive_int(s: complex) -> bool:
 def complex_gamma(s: complex) -> complex:
     """Gamma(s) for complex s; reflection formula below Re s = 1/2.
 
-    Raises AccuracyError, chained from the OverflowError, where a factor on
-    the way leaves the float range: the Lanczos factor t^(w + 1/2) does so
-    from |Re s| about 142 on, even where Gamma(s) is itself a finite float.
+    The Lanczos factor t^(w + 1/2) leaves the float range from |Re s| about
+    142 on, before exp(-t) brings the product back; there the power is
+    taken in halves around exp(-t), so Gamma(s) is returned wherever it
+    fits a float.  Raises AccuracyError, chained from the OverflowError,
+    where Gamma(s) or a factor of the reflection formula does not.
     """
     s = complex(s)
     if _is_nonpositive_int(s):
@@ -93,7 +95,13 @@ def complex_gamma(s: complex) -> complex:
         acc += c / (w + k)
     t = w + _LANCZOS_G + 0.5
     try:
-        g = math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
+        try:
+            g = math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
+        except OverflowError:
+            h = t ** ((w + 0.5) / 2)
+            g = math.sqrt(2.0 * math.pi) * h * (cmath.exp(-t) * h) * acc
+            if not cmath.isfinite(g):
+                raise
         return math.pi / (cmath.sin(math.pi * s) * g) if reflect else g
     except OverflowError as exc:
         raise AccuracyError(f"Gamma(s) at s = {s} overflows a float ({exc})") from exc

@@ -33,11 +33,14 @@ logs and no resonance this is
 
 L itself is the same kernel with the single slot (1, 0, 0, 1), whose
 integrand is f, at z^s.  Every factor is a small rational built from s, k,
-alpha and the slots.  The kernel evaluates these images in plain integers
-and the caller multiplies each output scale by the (large) input
-coefficient once, so no intermediate series is built.  Float values are
-dyadic rationals, so float mode reads sigma, alpha and the slots exactly
-and rounds only the scale of each output term before multiplying it in.
+alpha and the slots.  The kernel evaluates these images in plain integers,
+as a numerator w and a denominator d per output term, and the caller
+multiplies each scale w/d by the (large) input coefficient once, so no
+intermediate series is built.  Exact mode does so on reduced int pairs and
+builds one Fraction per output coefficient (logseries.EXACT_TERMS).  Float
+values are dyadic rationals, so float mode reads sigma, alpha and the slots
+exactly and rounds only the scale of each output term before multiplying
+it in (FLOAT_TERMS).
 
 In exact-rational mode every monomial has a well-defined image.  Float mode
 decides each log branch on the float exponent p of the integrand: the log
@@ -51,9 +54,12 @@ import math
 from fractions import Fraction
 
 from .logseries import (
+    EXACT_TERMS,
+    FLOAT_TERMS,
+    FRACTION_TERMS,
     LogSeries,
+    TermArithmetic,
     euler_image,
-    float_ratio,
     integrate_log_vector,
     linear_combine,
 )
@@ -108,22 +114,42 @@ def apply_A(spec: OperatorSpec, f: LogSeries) -> LogSeries:
 def _image(spec: OperatorSpec, f: LogSeries, integer_slots, lift: int) -> LogSeries:
     """f through the kernel, based at f.sigma + 1 + lift."""
     image = _kernel(spec, f.sigma, f.order, integer_slots, lift)
-    out: dict[tuple[int, int], Scalar] = {}
+    value, scale, mul, add, nonzero, final = _arithmetic(spec, f.sigma, f.coeffs.values())
+    out = {}
     for (m, k), c in f.coeffs.items():
-        for key, w in image(m, k):
-            out[key] = out.get(key, 0) + c * w
-    return LogSeries(f.sigma + (1 + lift), f.order, out)
+        c = value(c)
+        for key, w, d in image(m, k):
+            t = mul(c, scale(w, d))
+            there = out.get(key)
+            out[key] = t if there is None else add(there, t)
+    return LogSeries(f.sigma + (1 + lift), f.order,
+                     {key: final(v) for key, v in out.items() if nonzero(v)})
+
+
+def _exact_kernel(spec: OperatorSpec, sigma: Scalar) -> bool:
+    return spec.mode == "exact" and is_exact(sigma)
+
+
+def _arithmetic(spec: OperatorSpec, sigma: Scalar, coeffs) -> TermArithmetic:
+    """The arithmetic that scales the kernel's terms at base sigma for input
+    coefficients `coeffs`: reduced pairs when all of it is exact, floats in
+    float mode, and Fractions where a float coefficient meets an exact
+    kernel, so that only the products it reaches turn float."""
+    if not _exact_kernel(spec, sigma):
+        return FLOAT_TERMS
+    return EXACT_TERMS if all(is_exact(c) for c in coeffs) else FRACTION_TERMS
 
 
 def _kernel(spec: OperatorSpec, sigma: Scalar, order: int, integer_slots, lift: int):
     """The image under L of the slots, per monomial z^s log^k z, s = sigma + m:
-    image(m, k) lists ((m + i, j), scale) for the terms scale z^{s+1+lift+i}
+    image(m, k) lists ((m + i, j), w, d) for the terms (w/d) z^{s+1+lift+i}
     log^j z of each slot i whose integrand sits at z^{s-1+lift+i}, rows above
-    `order` dropped.  The scale is Fraction(w, d), or in float mode the float
-    w / d (Python's int division rounds it correctly), and each float branch
-    is decided on the float exponent p of its integrand (_float_branch)."""
+    `order` dropped.  w and d are ints, w != 0, not reduced, d of either
+    sign; the caller scales by them in its TermArithmetic (_arithmetic).
+    Each float branch is decided on the float exponent p of its integrand
+    (_float_branch)."""
     den, slots = integer_slots
-    exact = spec.mode == "exact" and is_exact(sigma)
+    exact = _exact_kernel(spec, sigma)
     alpha = spec.alpha
     if not exact:
         lead = (sigma + (lift - 1)) + alpha     # the float base of the integrand
@@ -133,7 +159,7 @@ def _kernel(spec: OperatorSpec, sigma: Scalar, order: int, integer_slots, lift: 
     sq0 = sigma.numerator * (q // sigma.denominator)
     aq = alpha.numerator * (q // alpha.denominator)
 
-    def image(m: int, k: int) -> list[tuple[tuple[int, int], Scalar]]:
+    def image(m: int, k: int) -> list[tuple[tuple[int, int], int, int]]:
         sq = sq0 + m * q
         terms = []
         for o, a2, a1, a0 in slots:
@@ -153,7 +179,7 @@ def _kernel(spec: OperatorSpec, sigma: Scalar, order: int, integer_slots, lift: 
             d = den * q * q * d1 * d2
             for j, w in enumerate(v):
                 if w:
-                    terms.append(((m + i, j), Fraction(w, d) if exact else float_ratio(w, d)))
+                    terms.append(((m + i, j), w, d))
         return terms
 
     return image

@@ -6,14 +6,23 @@ as shorthand) or a double-precision float.  There is no wrapper class: the
 representation (gcd 1, positive denominator).  Arithmetic between an exact
 value and a float produces a float; that coercion point is the one and only
 mode downgrade, and is_exact() lets callers record it.
+
+The hot loops of the monomial kernels (operators, solver) combine exact
+values as reduced (numerator, denominator) int pairs instead: ratio,
+pair_mul and pair_add take the gcd steps of Fraction's own reduced
+arithmetic (Henrici; Knuth, TAOCP Vol. 2, 4.5.1), so every intermediate
+stays in lowest terms with a positive denominator, and one Fraction is
+built per stored coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 Scalar = Union[Fraction, int, float]
+Pair = tuple[int, int]
 
 
 def is_exact(x: Scalar) -> bool:
@@ -39,3 +48,42 @@ def as_int(x: Scalar) -> int | None:
     if isinstance(x, float):
         return int(x) if x.is_integer() else None
     return None
+
+
+def ratio(n: int, d: int) -> Pair:
+    """n/d (d != 0) as a reduced pair: gcd 1, positive denominator."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
+
+
+def pair_mul(a: Pair, b: Pair) -> Pair:
+    """a * b of reduced pairs, reduced by the cross gcds."""
+    na, da = a
+    nb, db = b
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return na * nb, da * db
+
+
+def pair_add(a: Pair, b: Pair) -> Pair:
+    """a + b of reduced pairs, reduced: only a factor of g = gcd(da, db)
+    can divide the new numerator t against the new denominator."""
+    na, da = a
+    nb, db = b
+    g = gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)

@@ -25,13 +25,16 @@ cancel (_forward_substitute).
 The residual check substitutes psi = z^lambda f back into the original
 equation, read from the slots of its normal form (OdeProblem.slots) and
 divided by z^w.  Each monomial c z^s log^k z of psi meets each slot in
-closed form (logseries.euler_image, small integers) and c is multiplied in
-once per output term, so R is accumulated term by term without building
-psi', psi'' or any product series.  Float solves run the same kernel: a
-float lambda and float slots are dyadic rationals, read exactly, and only
-the scale of each term is rounded.  The check never calls transform or A,
-so it checks the solve; transform reads the same slots, and the tests hold
-both against the per-kind formulas they replaced.  In float mode a term
+closed form (logseries.euler_image, small integers) and c is multiplied
+by each output term's scale w/d once, so R is accumulated term by term
+without building psi', psi'' or any product series.  Exact solves, the
+resolvent and the residual alike, do this arithmetic on reduced
+(numerator, denominator) int pairs and build one Fraction per stored
+coefficient.  Float solves run the same kernel: a float lambda and float
+slots are dyadic rationals, read exactly, and only the scale of each term
+is rounded.  The check never calls transform or A, so it checks the solve;
+transform reads the same slots, and the tests hold both against the
+per-kind formulas they replaced.  In float mode a term
 counts only above 1e-10 max|f|, so a residual order of None there means
 that no term is left above that, not that the series terminates.
 """
@@ -44,18 +47,19 @@ from fractions import Fraction
 from functools import cached_property
 
 from .logseries import (
+    EXACT_TERMS,
+    FLOAT_TERMS,
     AccuracyError,
     LogSeries,
     _gap,
     euler_image,
-    float_ratio,
     integer_slots,
     linear_combine,
     shift_exponent,
     truncate,
     weighted_norm_estimate,
 )
-from .operators import SingularTerm, _kernel, apply_A, apply_L, make_f0
+from .operators import SingularTerm, _arithmetic, _kernel, apply_A, apply_L, make_f0
 from .problem import OdeProblem, OperatorSpec, indicial, transform
 from .scalars import Scalar, as_int, mode as scalar_mode
 
@@ -107,50 +111,59 @@ def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[L
     # count as long as no share is zero; if one is, its terms cancel and the
     # count is left to the Neumann loop (_neumann_count).  A share is None
     # while it is the whole value, else a number: along an image term of
-    # scale w, share s passes on as -s w (-c w while it is the whole value c).
+    # scale w/d, share s passes on as -s w/d (-c w/d while it is the whole
+    # value c).
+    #
+    # Values and shares are held in the kernel's TermArithmetic (reduced int
+    # pairs in exact mode), and each image term is scaled by its negated
+    # scale -w/d, so that -c w is one product and every update one sum.  A
+    # coefficient of g that no term reaches is stored as the object g holds.
     n = min(order, g.order)
     image = _kernel(spec, g.sigma, n, spec.integer_slots, 0)
+    value, scale, mul, add, nonzero, final = _arithmetic(spec, g.sigma, g.coeffs.values())
     rows: list[dict[int, list]] = [{} for _ in range(n + 1)]   # k -> entry
     for (m, k), c in g.coeffs.items():
         if m <= n:
-            rows[m][k] = [c, 0, None]    # value, depth, share
+            rows[m][k] = [value(c), 0, None, c]    # value, depth, share, seed
     coeffs = {}
     deepest = -1
     counted = True
     for m, row in enumerate(rows):
-        for k, (c, depth, share) in row.items():
+        for k, (c, depth, share, seed) in row.items():
             if counted:
-                counted = (c if share is None else share) != 0
+                counted = nonzero(c if share is None else share)
                 deepest = max(deepest, depth)
             whole = share is None or not counted
-            live = c != 0
+            live = nonzero(c)
             if not live and whole:
                 continue
             if live:
-                coeffs[(m, k)] = c
+                coeffs[(m, k)] = final(c) if seed is None else seed
             # a zero value with a share passes the share on, and adds no value
-            for (mi, ki), w in image(m, k):
+            for (mi, ki), w, d in image(m, k):
                 target = mi + 1
                 if target > n:
                     continue
-                ci = c * w
-                if live and not ci:      # a float product rounded to 0.0: no term
+                t = scale(-w, d)
+                ci = mul(c, t)           # -c w/d
+                if live and not nonzero(ci):     # a float product rounded to 0.0: no term
                     continue
                 there = rows[target].get(ki)
                 if there is None:
-                    rows[target][ki] = [-ci, depth + 1, None if whole else -share * w]
+                    rows[target][ki] = [ci, depth + 1, None if whole else mul(share, t), None]
                     continue
                 if counted:
                     if depth + 1 == there[1]:
                         if not whole or there[2] is not None:
-                            there[2] = (there[0] if there[2] is None else there[2]) - (
-                                ci if whole else share * w)
+                            there[2] = add(there[0] if there[2] is None else there[2],
+                                           ci if whole else mul(share, t))
                     elif depth + 1 > there[1]:
-                        there[1], there[2] = depth + 1, -ci if whole else -share * w
+                        there[1], there[2] = depth + 1, ci if whole else mul(share, t)
                     elif there[2] is None:
                         there[2] = there[0]
                 if live:
-                    there[0] -= ci
+                    there[0] = add(there[0], ci)
+                    there[3] = None
     f = LogSeries(g.sigma, n, coeffs)
     if not counted:
         return f, _neumann_count(spec, g, n)
@@ -253,20 +266,24 @@ def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
     form divided by z^w): each monomial c z^s log^k z of psi meets every
     slot in small integers (euler_image), then is scaled by w/d once per
     output term.  A float is a dyadic rational, so a float lambda or slot
-    is read exactly.  An exact solve scales by Fraction(w, d); a float one
-    by the float w / d, which Python's int division rounds correctly, so it
-    equals float(Fraction(w, d)) bit for bit without taking the gcd."""
+    is read exactly.  An exact solve sums its terms per key as reduced int
+    pairs and builds a Fraction only for the nonzero sums (EXACT_TERMS); a
+    float one scales by the float w / d, which Python's int division rounds
+    correctly, so it equals float(Fraction(w, d)) bit for bit without
+    taking the gcd (FLOAT_TERMS)."""
     den, slots = integer_slots(problem.slots)
     f = sol.f
     # above every row psi reaches (m <= f.order, and transform caps the
     # highest slot at N + 1), so no product term is clipped
     horizon = f.order + problem.series_cutoff + 3
     exact = scalar_mode(sol.lam, f.sigma, *f.coeffs.values()) == "exact"
+    value, scale, mul, add, nonzero, final = EXACT_TERMS if exact else FLOAT_TERMS
     base = Fraction(f.sigma + sol.lam)               # psi's base, s = sq/q
     q = base.denominator
     d = den * q * q
-    out: dict[tuple[int, int], Scalar] = {}
+    out = {}
     for (m, k), c in f.coeffs.items():
+        c = value(c)
         sq = base.numerator + m * q
         for o, a2, a1, a0 in slots:
             if m + o > horizon:
@@ -274,8 +291,11 @@ def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
             for j, w in enumerate(euler_image(sq, q, k, a2, a1, a0)):
                 if w:
                     key = (m + o, j)
-                    out[key] = out.get(key, 0) + c * (Fraction(w, d) if exact else float_ratio(w, d))
-    return LogSeries(base - problem.weight, horizon, out)
+                    t = mul(c, scale(w, d))
+                    there = out.get(key)
+                    out[key] = t if there is None else add(there, t)
+    return LogSeries(base - problem.weight, horizon,
+                     {key: final(v) for key, v in out.items() if nonzero(v)})
 
 
 def solve_log_second(problem: OdeProblem, n: int, order: int | None = None) -> Solution:

@@ -210,6 +210,27 @@ def test_solve_output_matches_golden_bytes(name, mode, fmt, order, capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+def test_golden_cases_repeat_in_one_process(capsys):
+    # the parser is built once per process: two passes over the golden
+    # cases, the second reversed, each solve followed by an eval with
+    # repeated --z options, print the same bytes, so no parsed state leaks
+    # from one call into the next
+    cases = [(name, mode, fmt, order) for name in sorted(GOLDEN_SEEDS)
+             for mode in ("exact", "float") for fmt in ("table", "csv")
+             for order in (12, 60)]
+    evals = {}
+    for case in cases + cases[::-1]:
+        name, mode, fmt, order = case
+        problem = str(ROOT / "demos" / "problems" / f"{name}.json")
+        seeds = [*GOLDEN_SEEDS[name], "--mode", mode, "--format", fmt, "--order", str(order)]
+        assert main(["solve", "--problem", problem, *seeds]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}-{mode}-{fmt}-{order}.txt").read_text()
+        assert main(["eval", "--problem", problem, *seeds, "--z", "0.25", "--z", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert len([ln for ln in out.splitlines() if ln.startswith(("psi(", "0.25,", "0.5,"))]) == 2
+        assert evals.setdefault(case, out) == out
+
+
 @pytest.fixture
 def bessel_20_json(tmp_path):
     path = tmp_path / "bessel-20.json"

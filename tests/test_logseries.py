@@ -1,12 +1,15 @@
 """Tests for the series substrate: arithmetic, calculus, evaluation."""
 
+import ast
 import math
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regsing.scalars
 from regsing.logseries import (
     DomainError,
     LogSeries,
@@ -18,7 +21,7 @@ from regsing.logseries import (
     truncate,
     weighted_norm_estimate,
 )
-from regsing.scalars import as_int, is_exact, mode, parse_rational
+from regsing.scalars import as_int, is_exact, mode, pair_add, pair_mul, parse_rational, ratio
 
 from test_operators import integrate, mul_poly
 
@@ -43,6 +46,44 @@ def test_mode_and_as_int():
     assert as_int(2.0) == 2
     assert as_int(2.5) is None
     assert is_exact(Fr(1, 3)) and not is_exact(0.3)
+
+
+pair_ints = st.integers(-10**6, 10**6)
+nonzero_ints = pair_ints.filter(lambda d: d != 0)
+
+
+@given(pair_ints, nonzero_ints, pair_ints, nonzero_ints)
+@settings(max_examples=300, deadline=None)
+def test_pair_arithmetic_is_reduced_fraction_arithmetic(n1, d1, n2, d2):
+    # products and sums of reduced pairs stay reduced, with a positive
+    # denominator, and equal the Fraction results (zero as (0, 1))
+    a, b = ratio(n1, d1), ratio(n2, d2)
+    assert a == (Fr(n1, d1).numerator, Fr(n1, d1).denominator)
+    for got, want in ((pair_mul(a, b), Fr(n1, d1) * Fr(n2, d2)),
+                      (pair_add(a, b), Fr(n1, d1) + Fr(n2, d2)),
+                      (pair_add(a, (-b[0], b[1])), Fr(n1, d1) - Fr(n2, d2))):
+        assert got == (want.numerator, want.denominator)
+
+
+# the private API of fractions: Fraction(n, d, _normalize=False) is gone in
+# Python 3.12, and the rest may go at any release
+_PRIVATE_FRACTION_API = {"_normalize", "_from_coprime_ints", "_numerator", "_denominator"}
+
+
+def test_src_uses_no_private_fractions_api():
+    # pyproject promises Python >= 3.10, so every Fraction is built with the
+    # public, normalising constructor
+    found = []
+    for path in sorted(Path(regsing.scalars.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.arg if isinstance(node, ast.keyword) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if name in _PRIVATE_FRACTION_API:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
 
 
 # ---------------------------------------------------------- linear_combine

@@ -14,6 +14,7 @@ from fractions import Fraction as Fr
 from itertools import islice
 from pathlib import Path
 
+import mpmath
 import pytest
 import scipy.special as sp
 from hypothesis import assume, given, settings
@@ -119,6 +120,14 @@ def test_gamma_poles():
     for s in (0, -1, -7, 0.0 + 0j, complex(-3, 0)):
         with pytest.raises(PoleError):
             complex_gamma(s)
+
+
+@pytest.mark.parametrize("s", [143, 150.5, 170.5, 171.5, -150.5, -160.25,
+                               complex(143, 5), complex(-145.5, 2)])
+def test_gamma_that_fits_a_float_is_returned_past_the_lanczos_power(s):
+    # t^(w + 1/2) alone overflows from |Re s| about 142 on; Gamma(s) does not
+    ref = complex(mpmath.gamma(mpmath.mpc(s)))
+    assert abs(complex_gamma(s) - ref) <= 2e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("s", [complex(180.5, 3), complex(-180.5, 3)])

@@ -41,6 +41,7 @@ from regsing.problem import OdeProblem, map_gegenbauer, transform
 from regsing.solver import (
     IndexMismatch,
     _driving_term,
+    _substitute_exact,
     contraction_report,
     neumann_apply_resolvent,
     residual,
@@ -48,7 +49,7 @@ from regsing.solver import (
     solve_log_second,
 )
 
-from test_operators import dyadic_spec, mul_poly
+from test_operators import assert_canonical, dyadic_spec, mul_poly
 from test_problem import bessel_problem, confluent_problem, gauss_problem
 
 
@@ -142,24 +143,24 @@ def test_resolvent_matches_neumann_loop_on_catalog(case, order):
 
 
 @st.composite
-def random_problems(draw):
+def random_problems(draw, dens=(1, 2, 3)):
     """The benchmark's random problem shape: rational indicial roots whose
     gap is not an integer, one more p term (index 0 or 1) and one more q
-    term (index -1, 0 or 1)."""
+    term (index -1, 0 or 1), each +-1 over one of dens."""
     d1, d2 = draw(st.sampled_from((2, 3, 4))), draw(st.sampled_from((2, 3, 4)))
     l1 = Fr(draw(st.integers(-6, 6)), d1)
     l2 = Fr(draw(st.integers(-6, 6)), d2)
     assume((l1 - l2).denominator != 1)
     p = {-1: 1 - (l1 + l2), draw(st.sampled_from((0, 1))):
-         Fr(draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, 2, 3))))}
+         Fr(draw(st.sampled_from((1, -1))), draw(st.sampled_from(dens)))}
     q = {-2: l1 * l2, draw(st.sampled_from((-1, 0, 1))):
-         Fr(draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, 2, 3))))}
+         Fr(draw(st.sampled_from((1, -1))), draw(st.sampled_from(dens)))}
     kind = draw(st.sampled_from(("two_point", "three_point")))
     return OdeProblem(kind, p, q, series_cutoff=draw(st.integers(2, 40)))
 
 
-@given(random_problems(), st.sampled_from((1, 2)),
-       st.sampled_from(((1, 0), (0, 1))))
+@given(st.one_of(random_problems(), random_problems(dens=(49, 720, 1024, 15015))),
+       st.sampled_from((1, 2)), st.sampled_from(((1, 0), (0, 1))))
 @settings(max_examples=60, deadline=None)
 def test_resolvent_matches_neumann_loop_on_random_problems(problem, root, seed):
     c0, c1 = seed
@@ -168,6 +169,12 @@ def test_resolvent_matches_neumann_loop_on_random_problems(problem, root, seed):
     f, used = _oracle_solve(problem, root, c0, c1, n)
     assert sol.f.coeffs == f.coeffs
     assert sol.iterations_used == used
+    # exact results in canonical form; a coefficient of g that no kernel
+    # term reaches keeps its object (the int seed 1), as in the oracle's sums
+    assert_canonical([*sol.f.coeffs.values(), *sol.psi.coeffs.values(),
+                      *_substitute_exact(problem, sol).coeffs.values()])
+    assert {key: type(c) for key, c in sol.f.coeffs.items()} == {
+        key: type(c) for key, c in f.coeffs.items()}
 
 
 # random problems whose Neumann terms cancel in some coefficient: terms of
