@@ -21,7 +21,15 @@ import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .scalars import Scalar, as_int, mode as scalar_mode, pair_add, pair_mul, ratio
+from .scalars import (
+    Scalar,
+    as_int,
+    mode as scalar_mode,
+    pair_add,
+    pair_fraction,
+    pair_mul,
+    ratio,
+)
 
 
 class NonIntegerExponentGap(ValueError):
@@ -274,10 +282,12 @@ class TermArithmetic(NamedTuple):
     final: Callable
 
 
-# exact: reduced int pairs, one Fraction per stored coefficient
+# exact: reduced int pairs (ratio, pair_mul and pair_add keep every one in
+# lowest terms), and one Fraction per stored coefficient, handed the pair as
+# it is (pair_fraction)
 EXACT_TERMS = TermArithmetic(lambda c: (c.numerator, c.denominator), ratio,
                              pair_mul, pair_add, operator.itemgetter(0),
-                             lambda v: Fraction(*v))
+                             pair_fraction)
 # float: each scale rounded once (float_ratio), then float arithmetic
 FLOAT_TERMS = TermArithmetic(_identity, float_ratio, operator.mul, operator.add,
                              bool, _identity)

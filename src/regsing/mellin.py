@@ -10,8 +10,9 @@ residues at s = -k reproduce the series term by term.  This module provides:
 - CatalogFamily: validated (tag, params) records for the supported families,
   each defined once by its term ratio A^{n+1}/A^n = K prod(n+t)/prod(n+b)
   (_term_ratio) and by its equation, root and seeds (_family_problem);
-- integer_powers: the exact A^n(seed), n = 0, 1, 2, ..., one ratio step each
-  (for the logarithmic family, one application of its own A each);
+- integer_powers: the exact A^n(seed), n = 0, 1, 2, ..., one ratio step each,
+  on reduced int pairs (for the logarithmic family, one application of its
+  own A each);
 - fractional_power_coeff: the coefficient/exponent data of A^v(seed), from
   integer_powers at integer v and the gamma form of the term ratio otherwise;
 - mellin_integrand / contour_eval: the line integrand and its trapezoid
@@ -45,7 +46,7 @@ from .catalog import ParameterError, struve_prefactor
 from .logseries import AccuracyError, LogSeries
 from .operators import apply_A
 from .problem import OdeProblem, root_index, transform
-from .scalars import Scalar, as_int, is_exact
+from .scalars import Scalar, as_int, is_exact, pair_fraction, pair_mul, ratio
 from .solver import _driving_term
 
 EULER_GAMMA = 0.5772156649015329
@@ -82,8 +83,11 @@ def complex_gamma(s: complex) -> complex:
     The Lanczos factor t^(w + 1/2) leaves the float range from |Re s| about
     142 on, before exp(-t) brings the product back; there the power is
     taken in halves around exp(-t), so Gamma(s) is returned wherever it
-    fits a float.  Raises AccuracyError, chained from the OverflowError,
-    where Gamma(s) or a factor of the reflection formula does not.
+    fits a float.  Likewise sin(pi s) leaves it from |Im s| about 226 on,
+    where Gamma(s) is tiny; there the reflection is taken in logs
+    (_reflect_in_logs).  Raises AccuracyError, chained from the
+    OverflowError, where Gamma(s) or the Lanczos factor of the reflection
+    formula does not fit a float.
     """
     s = complex(s)
     if _is_nonpositive_int(s):
@@ -102,9 +106,32 @@ def complex_gamma(s: complex) -> complex:
             g = math.sqrt(2.0 * math.pi) * h * (cmath.exp(-t) * h) * acc
             if not cmath.isfinite(g):
                 raise
-        return math.pi / (cmath.sin(math.pi * s) * g) if reflect else g
+        if not reflect:
+            return g
+        try:
+            sin_ps = cmath.sin(math.pi * s)
+        except OverflowError:
+            return _reflect_in_logs(s, w, t, acc)
+        return math.pi / (sin_ps * g)
     except OverflowError as exc:
         raise AccuracyError(f"Gamma(s) at s = {s} overflows a float ({exc})") from exc
+
+
+def _reflect_in_logs(s: complex, w: complex, t: complex, acc: complex) -> complex:
+    """Gamma(s) = pi / (sin(pi s) Gamma(1 - s)) as the exp of
+    log pi - log sin(pi s) - log Gamma(1 - s), for a sin(pi s) beyond the
+    float range; w, t and acc are the Lanczos terms of Gamma(1 - s).  For
+    Im s >= 0, sin(pi s) = e^{-i pi s} (1 - e^{2 pi i s}) / (-2i), whose
+    second factor is of order one; below the axis its mirror image.  A
+    log is fixed up to 2 pi i, which exp does not see."""
+    log_gamma = (0.5 * math.log(2.0 * math.pi) + (w + 0.5) * cmath.log(t) - t
+                 + cmath.log(acc))
+    ips = 1j * math.pi * s
+    if s.imag >= 0:
+        log_sin = -ips + cmath.log((1.0 - cmath.exp(2.0 * ips)) / -2j)
+    else:
+        log_sin = ips + cmath.log((1.0 - cmath.exp(-2.0 * ips)) / 2j)
+    return cmath.exp(math.log(math.pi) - log_sin - log_gamma)
 
 
 def _recip_gamma(s: complex) -> complex:
@@ -389,7 +416,8 @@ def integer_powers(family: CatalogFamily):
     Each family's integer powers are defined here once, by their term
     ratio: every coefficient is the previous one times one ratio, so the
     first T powers cost T steps.  With exact parameters the values are exact
-    rationals, equal to n-fold family_operator application.  With float
+    rationals, equal to n-fold family_operator application: Fractions in
+    lowest terms, walked on reduced int pairs (_pair_walk).  With float
     parameters each step rounds; the values agree with the Pochhammer closed
     forms to 1e-13 relative for n <= 200, wherever those stay normal floats.
 
@@ -402,12 +430,44 @@ def integer_powers(family: CatalogFamily):
         yield from _operator_powers(family)
         return
     coeff, k, tops, bottoms, base, step = _term_ratio(family)
+    if all(map(is_exact, (coeff, k, *tops, *bottoms))):
+        yield from _pair_walk(coeff, k, tops, bottoms, base, step)
+        return
     n = 0
     while True:
         yield PowerData(coeff, base + step * n)
         coeff = coeff * (k * math.prod(n + t for t in tops)
                          / math.prod(n + b for b in bottoms))
         n += 1
+
+
+def _pair_walk(coeff, k, tops, bottoms, base, step):
+    """The exact term-ratio walk on reduced int pairs.  With t = tn/td and
+    b = bn/bd, the ratio K prod(n + t) / prod(n + b) at step n is
+
+        kn prod(bd) prod(n td + tn) / (kd prod(td) prod(n bd + bn)),
+
+    one scalars.ratio of two int products, and the pair of each coefficient
+    is the previous one times it (pair_mul).  Every pair stays in lowest
+    terms, so each power's Fraction takes it as it is (pair_fraction): the
+    same values and types as Fraction arithmetic, with A^0 the coefficient
+    itself."""
+    num0 = k.numerator * math.prod(b.denominator for b in bottoms)
+    den0 = k.denominator * math.prod(t.denominator for t in tops)
+    tops = [(t.denominator, t.numerator) for t in tops]
+    bottoms = [(b.denominator, b.numerator) for b in bottoms]
+    value = (coeff.numerator, coeff.denominator)
+    yield PowerData(coeff, base)
+    n = 0
+    while True:
+        num, den = num0, den0
+        for d, t in tops:
+            num *= n * d + t
+        for d, b in bottoms:
+            den *= n * d + b
+        value = pair_mul(value, ratio(num, den))
+        n += 1
+        yield PowerData(pair_fraction(value), base + step * n)
 
 
 def _term_ratio(family: CatalogFamily):

@@ -36,11 +36,13 @@ integrand is f, at z^s.  Every factor is a small rational built from s, k,
 alpha and the slots.  The kernel evaluates these images in plain integers,
 as a numerator w and a denominator d per output term, and the caller
 multiplies each scale w/d by the (large) input coefficient once, so no
-intermediate series is built.  Exact mode does so on reduced int pairs and
-builds one Fraction per output coefficient (logseries.EXACT_TERMS).  Float
-values are dyadic rationals, so float mode reads sigma, alpha and the slots
-exactly and rounds only the scale of each output term before multiplying
-it in (FLOAT_TERMS).
+intermediate series is built.  Exact mode does so on int pairs kept in
+lowest terms with a positive denominator, and hands each output
+coefficient's pair to its Fraction as it is, without a second gcd
+(logseries.EXACT_TERMS, scalars.pair_fraction).  Float values are dyadic
+rationals, so float mode reads sigma, alpha and the slots exactly and
+rounds only the scale of each output term before multiplying it in
+(FLOAT_TERMS).
 
 In exact-rational mode every monomial has a well-defined image.  Float mode
 decides each log branch on the float exponent p of the integrand: the log

@@ -28,13 +28,14 @@ divided by z^w.  Each monomial c z^s log^k z of psi meets each slot in
 closed form (logseries.euler_image, small integers) and c is multiplied
 by each output term's scale w/d once, so R is accumulated term by term
 without building psi', psi'' or any product series.  Exact solves, the
-resolvent and the residual alike, do this arithmetic on reduced
-(numerator, denominator) int pairs and build one Fraction per stored
-coefficient.  Float solves run the same kernel: a float lambda and float
-slots are dyadic rationals, read exactly, and only the scale of each term
-is rounded.  The check never calls transform or A, so it checks the solve;
-transform reads the same slots, and the tests hold both against the
-per-kind formulas they replaced.  In float mode a term
+resolvent and the residual alike, do this arithmetic on (numerator,
+denominator) int pairs kept in lowest terms with a positive denominator,
+so each stored coefficient's Fraction takes its pair as it is, without a
+second gcd (scalars.pair_fraction).  Float solves run the same kernel: a
+float lambda and float slots are dyadic rationals, read exactly, and only
+the scale of each term is rounded.  The check never calls transform or A,
+so it checks the solve; transform reads the same slots, and the tests hold
+both against the per-kind formulas they replaced.  In float mode a term
 counts only above 1e-10 max|f|, so a residual order of None there means
 that no term is left above that, not that the series terminates.
 """

@@ -21,7 +21,16 @@ from regsing.logseries import (
     truncate,
     weighted_norm_estimate,
 )
-from regsing.scalars import as_int, is_exact, mode, pair_add, pair_mul, parse_rational, ratio
+from regsing.scalars import (
+    as_int,
+    is_exact,
+    mode,
+    pair_add,
+    pair_fraction,
+    pair_mul,
+    parse_rational,
+    ratio,
+)
 
 from test_operators import integrate, mul_poly
 
@@ -65,14 +74,32 @@ def test_pair_arithmetic_is_reduced_fraction_arithmetic(n1, d1, n2, d2):
         assert got == (want.numerator, want.denominator)
 
 
+# both sides of the size at which pair_fraction stops taking the gcd
+wide_ints = st.one_of(st.integers(-10**6, 10**6), st.integers(-2**300, 2**300))
+
+
+@given(wide_ints, wide_ints.filter(lambda d: d != 0))
+@settings(max_examples=300, deadline=None)
+def test_pair_fraction_is_the_fraction_of_the_pair(n, d):
+    # a reduced pair handed over without a second gcd is the Fraction the
+    # normalising constructor builds: negative numerators, denominator 1
+    # and zero as (0, 1) included
+    for pair in (ratio(n, d), ratio(n, 1), ratio(0, d)):
+        got, want = pair_fraction(pair), Fr(*pair)
+        assert type(got) is Fr
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert hash(got) == hash(want)
+
+
 # the private API of fractions: Fraction(n, d, _normalize=False) is gone in
 # Python 3.12, and the rest may go at any release
 _PRIVATE_FRACTION_API = {"_normalize", "_from_coprime_ints", "_numerator", "_denominator"}
 
 
 def test_src_uses_no_private_fractions_api():
-    # pyproject promises Python >= 3.10, so every Fraction is built with the
-    # public, normalising constructor
+    # pyproject promises Python >= 3.10, so every Fraction is built through
+    # the public API: the normalising constructor, or the numbers.Rational
+    # protocol for a pair already in lowest terms (scalars.pair_fraction)
     found = []
     for path in sorted(Path(regsing.scalars.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

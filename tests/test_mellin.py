@@ -53,6 +53,7 @@ from regsing.mellin import (
     _nonpositive_int_param,
     _one,
     _recip_gamma,
+    _term_ratio,
     catalog_family,
     complex_gamma,
     contour_eval,
@@ -69,7 +70,7 @@ from regsing.scalars import as_int
 from regsing.solver import solve
 
 from test_cli import COMPARE_CASES
-from test_operators import integrate
+from test_operators import assert_canonical, integrate
 from test_problem import bessel_problem
 from test_solver import _neumann, struve_problem
 
@@ -128,6 +129,15 @@ def test_gamma_that_fits_a_float_is_returned_past_the_lanczos_power(s):
     # t^(w + 1/2) alone overflows from |Re s| about 142 on; Gamma(s) does not
     ref = complex(mpmath.gamma(mpmath.mpc(s)))
     assert abs(complex_gamma(s) - ref) <= 2e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("s", [complex(0.25, 230), complex(0.25, 300), complex(0.25, -300),
+                               complex(-3.7, 260)])
+def test_gamma_past_the_range_of_sin_is_returned(s):
+    # sin(pi s) of the reflection formula overflows from |Im s| about 226
+    # on, while Gamma(s) there is a normal float
+    ref = complex(mpmath.gamma(mpmath.mpc(s)))
+    assert abs(complex_gamma(s) - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("s", [complex(180.5, 3), complex(-180.5, 3)])
@@ -862,14 +872,17 @@ def test_random_hypergeometric_powers_and_residues_equal_the_closed_forms(family
         _per_term_residue_eval(family, z, terms)
 
 
-@pytest.mark.parametrize("family", [
+FLOAT_PARAMETER_FAMILIES = [
     catalog_family("BesselRegular", nu=0.3),
     catalog_family("Hyp2F1Regular", a=0.5, b=1 / 3, c=1.25),
     catalog_family("Hyp2F1Irregular", a=0.7, b=-1.3, c=0.4),
     # exact and float parameters mixed: float coefficients from n = 0 on
     catalog_family("Hyp2F1Regular", a=1, b=0.5, c=3),
     catalog_family("Hyp1F1Regular", a=Fr(1, 2), c=1.5),
-], ids=lambda f: repr(f)[:48])
+]
+
+
+@pytest.mark.parametrize("family", FLOAT_PARAMETER_FAMILIES, ids=lambda f: repr(f)[:48])
 def test_float_parameter_powers_within_stated_tolerance(family):
     # float parameters round once per ratio step instead of once per
     # closed-form product: the docstring states 1e-13 relative for n <= 200
@@ -894,6 +907,68 @@ def test_float_parameter_powers_within_stated_tolerance(family):
         if abs(true) >= sys.float_info.min:
             assert abs(data.coefficient - true) <= 1e-13 * abs(true)
     assert compared >= 80
+
+
+# ------------------------------------- the pair walk vs the Fraction walk
+
+def _fraction_walk(family):
+    """Test oracle: the term-ratio walk in Fraction arithmetic (float
+    arithmetic for float parameters), the loop integer_powers ran for every
+    family before exact parameters were walked on reduced int pairs."""
+    coeff, k, tops, bottoms, base, step = _term_ratio(family)
+    n = 0
+    while True:
+        yield PowerData(coeff, base + step * n)
+        coeff = coeff * (k * math.prod(n + t for t in tops)
+                         / math.prod(n + b for b in bottoms))
+        n += 1
+
+
+PAIR_WALK_FAMILIES = [
+    catalog_family("Exp"),
+    *(catalog_family("TrigHyp", variant=v, omega=Fr(3, 2)) for v in _TRIG_VARIANTS),
+    catalog_family("TrigHyp", variant="sinh", omega=3),   # int parameter
+    catalog_family("BesselRegular", nu=Fr(1, 3)),
+    catalog_family("BesselIrregular", nu=Fr(1, 3)),
+    catalog_family("BesselIrregular", nu=Fr(-7, 2)),
+    catalog_family("Hyp1F1Regular", a=Fr(2, 3), c=Fr(7, 5)),
+    catalog_family("Hyp1F1Irregular", a=Fr(2, 3), c=Fr(7, 5)),
+    catalog_family("Hyp2F1Regular", a=1, b=2, c=Fr(7, 2)),
+    # tops a + 1 - c = -11/4 and b + 1 - c = 1/12
+    catalog_family("Hyp2F1Irregular", a=Fr(-5, 2), b=Fr(1, 3), c=Fr(5, 4)),
+    catalog_family("Struve", nu=Fr(0)),
+    catalog_family("Struve", nu=Fr(1, 3)),
+]
+
+
+@pytest.mark.parametrize("family", PAIR_WALK_FAMILIES, ids=lambda f: repr(f)[:48])
+def test_pair_walk_equals_the_fraction_walk(family):
+    got = list(islice(integer_powers(family), 200))
+    want = list(islice(_fraction_walk(family), 200))
+    assert got == want
+    for g, w in zip(got, want):
+        assert type(g.coefficient) is type(w.coefficient) is Fr
+        assert type(g.exponent) is type(w.exponent)
+    # deep enough that the later powers take pair_fraction's gcd-free handover
+    assert max(g.coefficient.denominator for g in got).bit_length() > 200
+    assert_canonical(g.coefficient for g in got)
+
+
+@pytest.mark.parametrize("family", FLOAT_PARAMETER_FAMILIES, ids=lambda f: repr(f)[:48])
+def test_float_parameter_walk_is_the_fraction_walk(family):
+    got = list(islice(integer_powers(family), 200))
+    assert repr(got) == repr(list(islice(_fraction_walk(family), 200)))
+
+
+@pytest.mark.parametrize("family", PAIR_WALK_FAMILIES + FLOAT_PARAMETER_FAMILIES,
+                         ids=lambda f: repr(f)[:48])
+def test_residue_eval_is_the_sum_of_the_fraction_walk(monkeypatch, family):
+    def sums():
+        return repr([residue_eval(family, z, full_output=True)
+                     for z in (0.02, 0.25, 0.5, 0.9)])
+    got = sums()
+    monkeypatch.setattr(regsing.mellin, "integer_powers", _fraction_walk)
+    assert got == sums()
 
 
 # ------------------------------------------- structural guard: O(terms) walks

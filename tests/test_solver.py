@@ -246,6 +246,21 @@ def test_float_product_that_rounds_to_zero_adds_no_term(p, c0, rows, count, monk
     assert not slow
 
 
+def test_deep_exact_solves_store_canonical_coefficients():
+    # at order 200 most coefficients are far above the size below which
+    # pair_fraction takes the gcd, so this checks its gcd-free handover in
+    # the resolvent, the log solution and the residual's substitution
+    gauss = gauss_problem(Fr(1, 2), Fr(1, 3), Fr(5, 4), 200)
+    bessel = bessel_problem(Fr(1), 200)
+    for problem, sol in ((gauss, solve(gauss, 1, 1, 0, order=200)),
+                         (bessel, solve_log_second(bessel, 1, order=200))):
+        values = [*sol.f.coeffs.values(), *sol.psi.coeffs.values(),
+                  *_substitute_exact(problem, sol).coeffs.values()]
+        assert all(type(c) in (Fr, int) for c in values)
+        assert max(c.denominator for c in values).bit_length() > 500
+        assert_canonical(values)
+
+
 @pytest.mark.parametrize("order", [30, 60])
 @pytest.mark.parametrize("case", CATALOG_CASES, ids=lambda c: c[0])
 def test_float_resolvent_agrees_with_neumann_loop(case, order):
