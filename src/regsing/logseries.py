@@ -12,24 +12,21 @@ order N and one at order N+5 agree on all coefficients up to N.
 
 Values are immutable by convention: no operation mutates an input, and the
 coeffs dict must not be touched after construction.
+
+The monomial kernels at the end of the module give the image of one
+monomial z^s log^k z under an Euler-type operator and under integration in
+small integers, read exactly in either mode.  Their callers (operators,
+solver) scale the terms by the input coefficients on reduced int pairs and
+round each stored coefficient once (scalars), so there is one term
+arithmetic for exact and float series alike.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
-from .scalars import (
-    Scalar,
-    as_int,
-    mode as scalar_mode,
-    pair_add,
-    pair_fraction,
-    pair_mul,
-    ratio,
-)
+from .scalars import Scalar, as_int, mode as scalar_mode
 
 
 class NonIntegerExponentGap(ValueError):
@@ -196,7 +193,7 @@ def differentiate(f: LogSeries) -> LogSeries:
 # built from s and k alone.  They are computed here in plain integers, with
 # s = sq/q for a fixed denominator q and a log vector held as numerators over
 # one common denominator, so no gcd is taken until the caller scales each
-# term by w/d in its TermArithmetic.
+# term by w/d on reduced pairs (operators._sum_images).
 
 def integer_slots(slots) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
     """(den, slots) with every (o, a2, a1, a0) of the slots scaled to
@@ -255,46 +252,6 @@ def integrate_log_vector(v: list[int], pq: int, q: int) -> tuple[list[int], int]
             w[j - t] += term * powers[n - 1 - t]
             term = -term * (j - t) * q
     return w, powers[-1] * pq
-
-
-def float_ratio(w: int, d: int) -> float:
-    """w / d correctly rounded (int division); AccuracyError past the float range."""
-    try:
-        return w / d
-    except OverflowError as exc:
-        raise AccuracyError("a term scale w / d overflows a float") from exc
-
-
-def _identity(x):
-    return x
-
-
-class TermArithmetic(NamedTuple):
-    """How a caller of the monomial kernels combines coefficients with the
-    int term scales w/d they yield: a coefficient enters as value(c), a
-    scale as scale(w, d), and mul, add and nonzero work on those values
-    until final(v) gives the coefficient stored."""
-    value: Callable
-    scale: Callable
-    mul: Callable
-    add: Callable
-    nonzero: Callable
-    final: Callable
-
-
-# exact: reduced int pairs (ratio, pair_mul and pair_add keep every one in
-# lowest terms), and one Fraction per stored coefficient, handed the pair as
-# it is (pair_fraction)
-EXACT_TERMS = TermArithmetic(lambda c: (c.numerator, c.denominator), ratio,
-                             pair_mul, pair_add, operator.itemgetter(0),
-                             pair_fraction)
-# float: each scale rounded once (float_ratio), then float arithmetic
-FLOAT_TERMS = TermArithmetic(_identity, float_ratio, operator.mul, operator.add,
-                             bool, _identity)
-# exact scales met by a float coefficient: Fraction products, which turn
-# float only where a float coefficient reaches
-FRACTION_TERMS = TermArithmetic(_identity, Fraction, operator.mul, operator.add,
-                                bool, _identity)
 
 
 def evaluate(f: LogSeries, z: float) -> float:

@@ -84,7 +84,8 @@ def complex_gamma(s: complex) -> complex:
     142 on, before exp(-t) brings the product back; there the power is
     taken in halves around exp(-t), so Gamma(s) is returned wherever it
     fits a float.  Likewise sin(pi s) leaves it from |Im s| about 226 on,
-    where Gamma(s) is tiny; there the reflection is taken in logs
+    where Gamma(s) is tiny, and so can its product with Gamma(1 - s) where
+    neither factor does; there the reflection is taken in logs
     (_reflect_in_logs).  Raises AccuracyError, chained from the
     OverflowError, where Gamma(s) or the Lanczos factor of the reflection
     formula does not fit a float.
@@ -109,21 +110,24 @@ def complex_gamma(s: complex) -> complex:
         if not reflect:
             return g
         try:
-            sin_ps = cmath.sin(math.pi * s)
-        except OverflowError:
-            return _reflect_in_logs(s, w, t, acc)
-        return math.pi / (sin_ps * g)
+            product = cmath.sin(math.pi * s) * g
+        except OverflowError:       # sin(pi s) itself
+            product = math.inf
+        if cmath.isfinite(product):
+            return math.pi / product
+        return _reflect_in_logs(s, w, t, acc)
     except OverflowError as exc:
         raise AccuracyError(f"Gamma(s) at s = {s} overflows a float ({exc})") from exc
 
 
 def _reflect_in_logs(s: complex, w: complex, t: complex, acc: complex) -> complex:
     """Gamma(s) = pi / (sin(pi s) Gamma(1 - s)) as the exp of
-    log pi - log sin(pi s) - log Gamma(1 - s), for a sin(pi s) beyond the
-    float range; w, t and acc are the Lanczos terms of Gamma(1 - s).  For
-    Im s >= 0, sin(pi s) = e^{-i pi s} (1 - e^{2 pi i s}) / (-2i), whose
-    second factor is of order one; below the axis its mirror image.  A
-    log is fixed up to 2 pi i, which exp does not see."""
+    log pi - log sin(pi s) - log Gamma(1 - s), for a sin(pi s) or a
+    sin(pi s) Gamma(1 - s) beyond the float range; w, t and acc are the
+    Lanczos terms of Gamma(1 - s).  For Im s >= 0,
+    sin(pi s) = e^{-i pi s} (1 - e^{2 pi i s}) / (-2i), whose second factor
+    is of order one; below the axis its mirror image.  A log is fixed up to
+    2 pi i, which exp does not see."""
     log_gamma = (0.5 * math.log(2.0 * math.pi) + (w + 0.5) * cmath.log(t) - t
                  + cmath.log(acc))
     ips = 1j * math.pi * s

@@ -36,13 +36,15 @@ integrand is f, at z^s.  Every factor is a small rational built from s, k,
 alpha and the slots.  The kernel evaluates these images in plain integers,
 as a numerator w and a denominator d per output term, and the caller
 multiplies each scale w/d by the (large) input coefficient once, so no
-intermediate series is built.  Exact mode does so on int pairs kept in
-lowest terms with a positive denominator, and hands each output
-coefficient's pair to its Fraction as it is, without a second gcd
-(logseries.EXACT_TERMS, scalars.pair_fraction).  Float values are dyadic
-rationals, so float mode reads sigma, alpha and the slots exactly and
-rounds only the scale of each output term before multiplying it in
-(FLOAT_TERMS).
+intermediate series is built.  It does so in one arithmetic for both
+modes, int pairs kept in lowest terms with a positive denominator
+(scalars.ratio, pair_mul, pair_add): a float is a dyadic rational, so
+sigma, alpha, the slots and the input coefficients are all read exactly.
+Each output coefficient is rounded once, to a Fraction handed its pair as
+it is, without a second gcd (scalars.pair_fraction), when the spec, the
+base and every input are exact, and to the nearest float (pair_float)
+otherwise; a float result is the exact image of the dyadic input,
+correctly rounded.
 
 In exact-rational mode every monomial has a well-defined image.  Float mode
 decides each log branch on the float exponent p of the integrand: the log
@@ -56,17 +58,14 @@ import math
 from fractions import Fraction
 
 from .logseries import (
-    EXACT_TERMS,
-    FLOAT_TERMS,
-    FRACTION_TERMS,
+    AccuracyError,
     LogSeries,
-    TermArithmetic,
     euler_image,
     integrate_log_vector,
     linear_combine,
 )
 from .problem import OperatorSpec
-from .scalars import Scalar, is_exact
+from .scalars import Scalar, is_exact, pair_add, pair_float, pair_fraction, pair_mul, ratio
 
 
 class SingularTerm(ArithmeticError):
@@ -114,32 +113,30 @@ def apply_A(spec: OperatorSpec, f: LogSeries) -> LogSeries:
 
 
 def _image(spec: OperatorSpec, f: LogSeries, integer_slots, lift: int) -> LogSeries:
-    """f through the kernel, based at f.sigma + 1 + lift."""
+    """f through the kernel, based at f.sigma + 1 + lift, each coefficient
+    rounded once; AccuracyError where a float one leaves the float range."""
     image = _kernel(spec, f.sigma, f.order, integer_slots, lift)
-    value, scale, mul, add, nonzero, final = _arithmetic(spec, f.sigma, f.coeffs.values())
+    out = _sum_images(image, ((key, c.as_integer_ratio()) for key, c in f.coeffs.items()))
+    if spec.mode == "exact" and f.mode == "exact":
+        return LogSeries(f.sigma + (1 + lift), f.order,
+                         {key: pair_fraction(v) for key, v in out.items()})
+    coeffs = {key: pair_float(v) for key, v in out.items()}
+    for key, c in coeffs.items():
+        if not math.isfinite(c):
+            raise AccuracyError(f"image coefficient {key} = {c} overflows a float")
+    return LogSeries(f.sigma + (1 + lift), f.order, coeffs)
+
+
+def _sum_images(image, terms) -> dict:
+    """sum over terms ((m, k), c) of c times image(m, k), per output key,
+    with c and every sum a reduced pair; the sums that vanish are dropped."""
     out = {}
-    for (m, k), c in f.coeffs.items():
-        c = value(c)
+    for (m, k), c in terms:
         for key, w, d in image(m, k):
-            t = mul(c, scale(w, d))
+            t = pair_mul(c, ratio(w, d))
             there = out.get(key)
-            out[key] = t if there is None else add(there, t)
-    return LogSeries(f.sigma + (1 + lift), f.order,
-                     {key: final(v) for key, v in out.items() if nonzero(v)})
-
-
-def _exact_kernel(spec: OperatorSpec, sigma: Scalar) -> bool:
-    return spec.mode == "exact" and is_exact(sigma)
-
-
-def _arithmetic(spec: OperatorSpec, sigma: Scalar, coeffs) -> TermArithmetic:
-    """The arithmetic that scales the kernel's terms at base sigma for input
-    coefficients `coeffs`: reduced pairs when all of it is exact, floats in
-    float mode, and Fractions where a float coefficient meets an exact
-    kernel, so that only the products it reaches turn float."""
-    if not _exact_kernel(spec, sigma):
-        return FLOAT_TERMS
-    return EXACT_TERMS if all(is_exact(c) for c in coeffs) else FRACTION_TERMS
+            out[key] = t if there is None else pair_add(there, t)
+    return {key: v for key, v in out.items() if v[0]}
 
 
 def _kernel(spec: OperatorSpec, sigma: Scalar, order: int, integer_slots, lift: int):
@@ -147,11 +144,11 @@ def _kernel(spec: OperatorSpec, sigma: Scalar, order: int, integer_slots, lift: 
     image(m, k) lists ((m + i, j), w, d) for the terms (w/d) z^{s+1+lift+i}
     log^j z of each slot i whose integrand sits at z^{s-1+lift+i}, rows above
     `order` dropped.  w and d are ints, w != 0, not reduced, d of either
-    sign; the caller scales by them in its TermArithmetic (_arithmetic).
-    Each float branch is decided on the float exponent p of its integrand
-    (_float_branch)."""
+    sign; the caller scales by them on reduced pairs (_sum_images).  Unless
+    the spec and sigma are exact, each branch is decided on the float
+    exponent p of its integrand (_float_branch)."""
     den, slots = integer_slots
-    exact = _exact_kernel(spec, sigma)
+    exact = spec.mode == "exact" and is_exact(sigma)
     alpha = spec.alpha
     if not exact:
         lead = (sigma + (lift - 1)) + alpha     # the float base of the integrand

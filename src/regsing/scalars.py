@@ -7,22 +7,25 @@ as shorthand) or a double-precision float.  There is no wrapper class: the
 produces a float; that coercion point is the one and only mode downgrade,
 and is_exact() lets callers record it.
 
-The hot loops of the monomial kernels (operators, solver) combine exact
-values as reduced (numerator, denominator) int pairs instead: ratio,
-pair_mul and pair_add take the gcd steps of Fraction's own reduced
-arithmetic (Henrici; Knuth, TAOCP Vol. 2, 4.5.1), so every intermediate
-stays in lowest terms with a positive denominator, and one Fraction is
-built per stored coefficient (pair_fraction).  That invariant lets a large
-pair reach its Fraction through the public numbers.Rational protocol,
-which copies numerator and denominator as they are, instead of through
-Fraction(n, d), whose gcd would only prove the reduction again.
+The hot loops of the monomial kernels (operators, solver) combine values
+as reduced (numerator, denominator) int pairs instead, in both modes: a
+float is the dyadic rational float.as_integer_ratio() gives, so a float
+input is read exactly, as an exact one is.  ratio, pair_mul and pair_add
+take the gcd steps of Fraction's own reduced arithmetic (Henrici; Knuth,
+TAOCP Vol. 2, 4.5.1), so every intermediate stays in lowest terms with a
+positive denominator, and each stored coefficient is rounded once: to a
+Fraction (pair_fraction) when every input was exact, to the nearest float
+(pair_float) otherwise.  The invariant lets a large pair reach its
+Fraction through the public numbers.Rational protocol, which copies
+numerator and denominator as they are, instead of through Fraction(n, d),
+whose gcd would only prove the reduction again.
 """
 
 from __future__ import annotations
 
 import numbers
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Union
 
 Scalar = Union[Fraction, int, float]
@@ -121,3 +124,13 @@ def pair_fraction(v: Pair) -> Fraction:
     if d < _SMALL and -_SMALL < n < _SMALL:
         return Fraction(n, d)
     return Fraction(_Reduced(n, d))
+
+
+def pair_float(v: Pair) -> float:
+    """The float nearest n/d (int true division rounds correctly), and
+    +-inf where that leaves the float range, as float arithmetic gives."""
+    n, d = v
+    try:
+        return n / d
+    except OverflowError:
+        return inf if n > 0 else -inf

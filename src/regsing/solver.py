@@ -27,17 +27,24 @@ equation, read from the slots of its normal form (OdeProblem.slots) and
 divided by z^w.  Each monomial c z^s log^k z of psi meets each slot in
 closed form (logseries.euler_image, small integers) and c is multiplied
 by each output term's scale w/d once, so R is accumulated term by term
-without building psi', psi'' or any product series.  Exact solves, the
-resolvent and the residual alike, do this arithmetic on (numerator,
-denominator) int pairs kept in lowest terms with a positive denominator,
-so each stored coefficient's Fraction takes its pair as it is, without a
-second gcd (scalars.pair_fraction).  Float solves run the same kernel: a
-float lambda and float slots are dyadic rationals, read exactly, and only
-the scale of each term is rounded.  The check never calls transform or A,
-so it checks the solve; transform reads the same slots, and the tests hold
-both against the per-kind formulas they replaced.  In float mode a term
-counts only above 1e-10 max|f|, so a residual order of None there means
-that no term is left above that, not that the series terminates.
+without building psi', psi'' or any product series.  The resolvent and the
+residual alike do this arithmetic on (numerator, denominator) int pairs
+kept in lowest terms with a positive denominator, in both modes: a float
+lambda, float slots and float coefficients are dyadic rationals, read
+exactly.  So a float solve is the exact solve of its dyadic problem, and
+each stored coefficient is rounded once: to a Fraction that takes its pair
+as it is, without a second gcd (scalars.pair_fraction), when the problem
+and the seeds are exact, and to the nearest float (pair_float) otherwise.
+Its iteration count is the dyadic problem's.  Only the log branches of a
+float solve are decided on its float exponents (operators._float_branch).
+The exact arithmetic costs time at high order, where the dyadic
+denominators grow with every row: a float Gauss 2F1 solve at order 400
+takes three to four times as long as float arithmetic did, while float
+solves up to order 60 stay within a millisecond of it.  The check never calls transform or A, so it checks
+the solve; transform reads the same slots, and the tests hold both against
+the per-kind formulas they replaced.  In float mode a term counts only
+above 1e-10 max|f|, so a residual order of None there means that no term
+is left above that, not that the series terminates.
 """
 
 from __future__ import annotations
@@ -48,8 +55,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .logseries import (
-    EXACT_TERMS,
-    FLOAT_TERMS,
     AccuracyError,
     LogSeries,
     _gap,
@@ -60,9 +65,18 @@ from .logseries import (
     truncate,
     weighted_norm_estimate,
 )
-from .operators import SingularTerm, _arithmetic, _kernel, apply_A, apply_L, make_f0
+from .operators import SingularTerm, _kernel, _sum_images, apply_A, apply_L, make_f0
 from .problem import OdeProblem, OperatorSpec, indicial, transform
-from .scalars import Scalar, as_int, mode as scalar_mode
+from .scalars import (
+    Scalar,
+    as_int,
+    mode as scalar_mode,
+    pair_add,
+    pair_float,
+    pair_fraction,
+    pair_mul,
+    ratio,
+)
 
 
 class IndexMismatch(ArithmeticError):
@@ -115,27 +129,31 @@ def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[L
     # scale w/d, share s passes on as -s w/d (-c w/d while it is the whole
     # value c).
     #
-    # Values and shares are held in the kernel's TermArithmetic (reduced int
-    # pairs in exact mode), and each image term is scaled by its negated
-    # scale -w/d, so that -c w is one product and every update one sum.  A
-    # coefficient of g that no term reaches is stored as the object g holds.
+    # Values and shares are reduced int pairs, read exactly from g in
+    # either mode, and each image term is scaled by its negated scale
+    # -w/d, so that -c w is one product and every update one sum.  Each
+    # stored coefficient is rounded once (pair_fraction, or pair_float
+    # unless the spec and g are exact); a coefficient of an exact g that no
+    # term reaches is stored as the object g holds.
     n = min(order, g.order)
     image = _kernel(spec, g.sigma, n, spec.integer_slots, 0)
-    value, scale, mul, add, nonzero, final = _arithmetic(spec, g.sigma, g.coeffs.values())
+    exact = spec.mode == "exact" and g.mode == "exact"
+    final = pair_fraction if exact else pair_float
     rows: list[dict[int, list]] = [{} for _ in range(n + 1)]   # k -> entry
     for (m, k), c in g.coeffs.items():
         if m <= n:
-            rows[m][k] = [value(c), 0, None, c]    # value, depth, share, seed
+            # value, depth, share, seed
+            rows[m][k] = [c.as_integer_ratio(), 0, None, c if exact else None]
     coeffs = {}
     deepest = -1
     counted = True
     for m, row in enumerate(rows):
         for k, (c, depth, share, seed) in row.items():
             if counted:
-                counted = nonzero(c if share is None else share)
+                counted = (c if share is None else share)[0] != 0
                 deepest = max(deepest, depth)
             whole = share is None or not counted
-            live = nonzero(c)
+            live = c[0] != 0
             if not live and whole:
                 continue
             if live:
@@ -145,25 +163,23 @@ def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[L
                 target = mi + 1
                 if target > n:
                     continue
-                t = scale(-w, d)
-                ci = mul(c, t)           # -c w/d
-                if live and not nonzero(ci):     # a float product rounded to 0.0: no term
-                    continue
+                t = ratio(-w, d)
+                ci = pair_mul(c, t)      # -c w/d
                 there = rows[target].get(ki)
                 if there is None:
-                    rows[target][ki] = [ci, depth + 1, None if whole else mul(share, t), None]
+                    rows[target][ki] = [ci, depth + 1, None if whole else pair_mul(share, t), None]
                     continue
                 if counted:
                     if depth + 1 == there[1]:
                         if not whole or there[2] is not None:
-                            there[2] = add(there[0] if there[2] is None else there[2],
-                                           ci if whole else mul(share, t))
+                            there[2] = pair_add(there[0] if there[2] is None else there[2],
+                                                ci if whole else pair_mul(share, t))
                     elif depth + 1 > there[1]:
-                        there[1], there[2] = depth + 1, ci if whole else mul(share, t)
+                        there[1], there[2] = depth + 1, ci if whole else pair_mul(share, t)
                     elif there[2] is None:
                         there[2] = there[0]
                 if live:
-                    there[0] = add(there[0], ci)
+                    there[0] = pair_add(there[0], ci)
                     there[3] = None
     f = LogSeries(g.sigma, n, coeffs)
     if not counted:
@@ -172,14 +188,15 @@ def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[L
 
 
 def _neumann_count(spec: OperatorSpec, g: LogSeries, n: int) -> int:
-    """The Neumann iteration count, one term (-A)^j g at a time: the slow
-    path for a solve in which the terms of one coefficient's longest chains
-    cancel."""
-    term = truncate(g, n)
-    used = 0
-    while used < n and not term.is_zero():
+    """The Neumann iteration count, one term (-A)^j g at a time, each held
+    exactly as reduced pairs: the slow path for a solve in which the terms
+    of one coefficient's longest chains cancel."""
+    sigma, used = g.sigma, 0
+    term = {key: c.as_integer_ratio() for key, c in g.coeffs.items() if key[0] <= n}
+    while used < n and term:
         used += 1
-        term = truncate(apply_A(spec, term), n - used)
+        term = _sum_images(_kernel(spec, sigma, n - used, spec.integer_slots, 0), term.items())
+        sigma += 1
     return used
 
 
@@ -203,11 +220,11 @@ def solve(problem: OdeProblem, root_choice: int, c0: Scalar, c1: Scalar,
     contributes the particular part L(z^{w-2-lambda} F).  Superposition
     holds exactly in rational mode.
 
-    Exact mode gives the Neumann sum f = sum_j (-A)^j g bit for bit.  In
-    float mode the resolvent adds the contributions to a coefficient in
-    another order than a term-by-term Neumann sum does; the two agree to
-    1e-13 relative per coefficient.  A float solve whose coefficients leave
-    the float range raises AccuracyError.
+    Exact mode gives the Neumann sum f = sum_j (-A)^j g bit for bit.  Float
+    mode gives the same sum for the dyadic rationals the floats are, each
+    coefficient rounded once to the nearest float; the residual check then
+    counts a term only above 1e-10 max|f|.  A float solve whose coefficients
+    leave the float range raises AccuracyError.
     """
     n = problem.series_cutoff if order is None else order
     spec = transform(problem, root_choice)
@@ -266,37 +283,29 @@ def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
     """The left-hand side of the equation at the truncated psi (the normal
     form divided by z^w): each monomial c z^s log^k z of psi meets every
     slot in small integers (euler_image), then is scaled by w/d once per
-    output term.  A float is a dyadic rational, so a float lambda or slot
-    is read exactly.  An exact solve sums its terms per key as reduced int
-    pairs and builds a Fraction only for the nonzero sums (EXACT_TERMS); a
-    float one scales by the float w / d, which Python's int division rounds
-    correctly, so it equals float(Fraction(w, d)) bit for bit without
-    taking the gcd (FLOAT_TERMS)."""
+    output term.  A float is a dyadic rational, so a float lambda, slot or
+    coefficient is read exactly; the terms are summed per key as reduced
+    int pairs (operators._sum_images), and each nonzero sum is rounded once,
+    to a Fraction when the solution is exact and to a float otherwise."""
     den, slots = integer_slots(problem.slots)
     f = sol.f
     # above every row psi reaches (m <= f.order, and transform caps the
     # highest slot at N + 1), so no product term is clipped
     horizon = f.order + problem.series_cutoff + 3
-    exact = scalar_mode(sol.lam, f.sigma, *f.coeffs.values()) == "exact"
-    value, scale, mul, add, nonzero, final = EXACT_TERMS if exact else FLOAT_TERMS
     base = Fraction(f.sigma + sol.lam)               # psi's base, s = sq/q
     q = base.denominator
     d = den * q * q
-    out = {}
-    for (m, k), c in f.coeffs.items():
-        c = value(c)
+
+    def image(m: int, k: int) -> list[tuple[tuple[int, int], int, int]]:
         sq = base.numerator + m * q
-        for o, a2, a1, a0 in slots:
-            if m + o > horizon:
-                break
-            for j, w in enumerate(euler_image(sq, q, k, a2, a1, a0)):
-                if w:
-                    key = (m + o, j)
-                    t = mul(c, scale(w, d))
-                    there = out.get(key)
-                    out[key] = t if there is None else add(there, t)
+        return [((m + o, j), w, d) for o, a2, a1, a0 in slots if m + o <= horizon
+                for j, w in enumerate(euler_image(sq, q, k, a2, a1, a0)) if w]
+
+    out = _sum_images(image, ((key, c.as_integer_ratio()) for key, c in f.coeffs.items()))
+    exact = scalar_mode(sol.lam, f.sigma, *f.coeffs.values()) == "exact"
+    final = pair_fraction if exact else pair_float
     return LogSeries(base - problem.weight, horizon,
-                     {key: final(v) for key, v in out.items() if nonzero(v)})
+                     {key: final(v) for key, v in out.items()})
 
 
 def solve_log_second(problem: OdeProblem, n: int, order: int | None = None) -> Solution:

@@ -189,9 +189,26 @@ def test_solve_csv_is_byte_stable(bessel_json, capsys):
     assert "2,0,-3,16" in first
 
 
+# tests/golden holds the stdout of `regsing solve` on the demo problem
+# files, iterations line included: the exact files as the Neumann-loop
+# solver printed them, the float ones as the exact solve of the floats'
+# dyadic values, each coefficient rounded once.  Regenerate all 24 with
+#     PYTHONPATH=src python tests/test_cli.py
+# only when a change of the output is intended.
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_SEEDS = {"bessel": ["--c0", "1"], "gauss": ["--c0", "1"], "struve": []}
+GOLDEN_CASES = [(name, mode, fmt, order) for name in sorted(GOLDEN_SEEDS)
+                for mode in ("exact", "float") for fmt in ("table", "csv")
+                for order in (12, 60)]
+
+
+def _golden_args(name, mode, fmt, order):
+    """The problem file and the options of one golden case, and its file."""
+    problem = str(ROOT / "demos" / "problems" / f"{name}.json")
+    options = [*GOLDEN_SEEDS[name], "--mode", mode, "--format", fmt, "--order", str(order)]
+    return problem, options, GOLDEN / f"{name}-{mode}-{fmt}-{order}.txt"
 
 
 @pytest.mark.parametrize("order", [12, 60])
@@ -199,14 +216,8 @@ GOLDEN_SEEDS = {"bessel": ["--c0", "1"], "gauss": ["--c0", "1"], "struve": []}
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("name", sorted(GOLDEN_SEEDS))
 def test_solve_output_matches_golden_bytes(name, mode, fmt, order, capsys):
-    # tests/golden holds the stdout of `regsing solve` on the demo problem
-    # files, iterations line included: the exact files as the Neumann-loop
-    # solver printed them, the float ones as the monomial kernel rounds them
-    problem = ROOT / "demos" / "problems" / f"{name}.json"
-    code = main(["solve", "--problem", str(problem), *GOLDEN_SEEDS[name],
-                 "--mode", mode, "--format", fmt, "--order", str(order)])
-    assert code == 0
-    golden = GOLDEN / f"{name}-{mode}-{fmt}-{order}.txt"
+    problem, options, golden = _golden_args(name, mode, fmt, order)
+    assert main(["solve", "--problem", problem, *options]) == 0
     assert capsys.readouterr().out == golden.read_text()
 
 
@@ -215,17 +226,12 @@ def test_golden_cases_repeat_in_one_process(capsys):
     # cases, the second reversed, each solve followed by an eval with
     # repeated --z options, print the same bytes, so no parsed state leaks
     # from one call into the next
-    cases = [(name, mode, fmt, order) for name in sorted(GOLDEN_SEEDS)
-             for mode in ("exact", "float") for fmt in ("table", "csv")
-             for order in (12, 60)]
     evals = {}
-    for case in cases + cases[::-1]:
-        name, mode, fmt, order = case
-        problem = str(ROOT / "demos" / "problems" / f"{name}.json")
-        seeds = [*GOLDEN_SEEDS[name], "--mode", mode, "--format", fmt, "--order", str(order)]
-        assert main(["solve", "--problem", problem, *seeds]) == 0
-        assert capsys.readouterr().out == (GOLDEN / f"{name}-{mode}-{fmt}-{order}.txt").read_text()
-        assert main(["eval", "--problem", problem, *seeds, "--z", "0.25", "--z", "0.5"]) == 0
+    for case in GOLDEN_CASES + GOLDEN_CASES[::-1]:
+        problem, options, golden = _golden_args(*case)
+        assert main(["solve", "--problem", problem, *options]) == 0
+        assert capsys.readouterr().out == golden.read_text()
+        assert main(["eval", "--problem", problem, *options, "--z", "0.25", "--z", "0.5"]) == 0
         out = capsys.readouterr().out
         assert len([ln for ln in out.splitlines() if ln.startswith(("psi(", "0.25,", "0.5,"))]) == 2
         assert evals.setdefault(case, out) == out
@@ -639,3 +645,15 @@ def test_options_only_shrink():
     found = _settable_options()
     assert {("ContourSpec", "step"), ("contour", "--tol")} <= found
     assert found <= OPTIONS_INVENTORY
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    for case in GOLDEN_CASES:
+        problem, options, golden = _golden_args(*case)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["solve", "--problem", problem, *options]) == 0
+        golden.write_text(out.getvalue())

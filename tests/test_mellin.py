@@ -140,6 +140,20 @@ def test_gamma_past_the_range_of_sin_is_returned(s):
     assert abs(complex_gamma(s) - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("s", [complex(-100, 200), complex(-120, 210), complex(-150, 100)])
+def test_gamma_whose_reflection_product_overflows_underflows_to_zero(s):
+    # sin(pi s) and Gamma(1 - s) fit a float there but their product does
+    # not (pi over it was nan); Gamma(s) itself is below the float range
+    assert complex_gamma(s) == complex(mpmath.gamma(mpmath.mpc(s))) == 0
+
+
+def test_gamma_near_the_bottom_of_the_float_range_is_returned():
+    # the reflection product overflows here too, and pi over it was 0
+    s = complex(-169.1476734180056, 2.84526214482821)
+    ref = complex(mpmath.gamma(mpmath.mpc(s)))
+    assert abs(complex_gamma(s) - ref) <= 1e-12 * abs(ref)
+
+
 @pytest.mark.parametrize("s", [complex(180.5, 3), complex(-180.5, 3)])
 def test_gamma_that_overflows_a_float_is_an_accuracy_error(s):
     # the Lanczos factor t^(w + 1/2) leaves the float range, directly and
