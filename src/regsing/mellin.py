@@ -11,8 +11,8 @@ residues at s = -k reproduce the series term by term.  This module provides:
   each defined once by its term ratio A^{n+1}/A^n = K prod(n+t)/prod(n+b)
   (_term_ratio) and by its equation, root and seeds (_family_problem);
 - integer_powers: the exact A^n(seed), n = 0, 1, 2, ..., one ratio step each,
-  on reduced int pairs (for the logarithmic family, one application of its
-  own A each);
+  on reduced int pairs, each power rounded once for float parameters (for
+  the logarithmic family, one application of its own A each);
 - fractional_power_coeff: the coefficient/exponent data of A^v(seed), from
   integer_powers at integer v and the gamma form of the term ratio otherwise;
 - mellin_integrand / contour_eval: the line integrand and its trapezoid
@@ -46,7 +46,7 @@ from .catalog import ParameterError, struve_prefactor
 from .logseries import AccuracyError, LogSeries
 from .operators import apply_A
 from .problem import OdeProblem, root_index, transform
-from .scalars import Scalar, as_int, is_exact, pair_fraction, pair_mul, ratio
+from .scalars import Scalar, as_int, is_exact, pair_float, pair_fraction, pair_mul, ratio
 from .solver import _driving_term
 
 EULER_GAMMA = 0.5772156649015329
@@ -83,12 +83,16 @@ def complex_gamma(s: complex) -> complex:
     The Lanczos factor t^(w + 1/2) leaves the float range from |Re s| about
     142 on, before exp(-t) brings the product back; there the power is
     taken in halves around exp(-t), so Gamma(s) is returned wherever it
-    fits a float.  Likewise sin(pi s) leaves it from |Im s| about 226 on,
-    where Gamma(s) is tiny, and so can its product with Gamma(1 - s) where
-    neither factor does; there the reflection is taken in logs
-    (_reflect_in_logs).  Raises AccuracyError, chained from the
-    OverflowError, where Gamma(s) or the Lanczos factor of the reflection
-    formula does not fit a float.
+    fits a float.  At large |Im s| the Lanczos product can also overflow
+    without raising and read nan, as at 125.3 - 548.6i, or underflow to 0
+    where Gamma(s) does not, as at 79.0 - 527.4i; there it is taken in logs
+    (_lanczos_log).  Likewise sin(pi s) leaves the float range from
+    |Im s| about 226 on, where Gamma(s) is tiny, and so can its product
+    with Gamma(1 - s) where neither factor does; there the reflection is
+    taken in logs (_reflect_in_logs).  Raises AccuracyError, chained from
+    the OverflowError where there is one, where Gamma(s) or the Lanczos
+    factor of the reflection formula does not fit a float, as beside a pole
+    (Gamma(1e-310) = 1e310).
     """
     s = complex(s)
     if _is_nonpositive_int(s):
@@ -108,16 +112,28 @@ def complex_gamma(s: complex) -> complex:
             if not cmath.isfinite(g):
                 raise
         if not reflect:
-            return g
-        try:
-            product = cmath.sin(math.pi * s) * g
-        except OverflowError:       # sin(pi s) itself
-            product = math.inf
-        if cmath.isfinite(product):
-            return math.pi / product
-        return _reflect_in_logs(s, w, t, acc)
+            if not (g and cmath.isfinite(g)):
+                g = cmath.exp(_lanczos_log(w, t, acc))
+        else:
+            try:
+                product = cmath.sin(math.pi * s) * g
+            except OverflowError:       # sin(pi s) itself
+                product = math.inf
+            if cmath.isfinite(product):
+                g = math.pi / product
+            else:
+                g = _reflect_in_logs(s, w, t, acc)
     except OverflowError as exc:
         raise AccuracyError(f"Gamma(s) at s = {s} overflows a float ({exc})") from exc
+    if not cmath.isfinite(g):
+        raise AccuracyError(f"Gamma(s) at s = {s} overflows a float: {g}")
+    return g
+
+
+def _lanczos_log(w: complex, t: complex, acc: complex) -> complex:
+    """log Gamma(w + 1) from the Lanczos terms, mod 2 pi i: the log of
+    sqrt(2 pi) t^(w + 1/2) e^{-t} acc, which does not overflow."""
+    return 0.5 * math.log(2.0 * math.pi) + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
 def _reflect_in_logs(s: complex, w: complex, t: complex, acc: complex) -> complex:
@@ -128,14 +144,12 @@ def _reflect_in_logs(s: complex, w: complex, t: complex, acc: complex) -> comple
     sin(pi s) = e^{-i pi s} (1 - e^{2 pi i s}) / (-2i), whose second factor
     is of order one; below the axis its mirror image.  A log is fixed up to
     2 pi i, which exp does not see."""
-    log_gamma = (0.5 * math.log(2.0 * math.pi) + (w + 0.5) * cmath.log(t) - t
-                 + cmath.log(acc))
     ips = 1j * math.pi * s
     if s.imag >= 0:
         log_sin = -ips + cmath.log((1.0 - cmath.exp(2.0 * ips)) / -2j)
     else:
         log_sin = ips + cmath.log((1.0 - cmath.exp(-2.0 * ips)) / 2j)
-    return cmath.exp(math.log(math.pi) - log_sin - log_gamma)
+    return cmath.exp(math.log(math.pi) - log_sin - _lanczos_log(w, t, acc))
 
 
 def _recip_gamma(s: complex) -> complex:
@@ -143,7 +157,16 @@ def _recip_gamma(s: complex) -> complex:
     s = complex(s)
     if _is_nonpositive_int(s):
         return 0.0 + 0.0j
-    return 1.0 / complex_gamma(s)
+    return _over_gamma(1.0, s)
+
+
+def _over_gamma(x: complex, s: complex) -> complex:
+    """x / Gamma(s); AccuracyError, chained from the ZeroDivisionError,
+    where Gamma(s) underflowed to 0."""
+    try:
+        return x / complex_gamma(s)
+    except ZeroDivisionError as exc:
+        raise AccuracyError(f"Gamma(s) at s = {s} underflows a float ({exc})") from exc
 
 
 # Bernoulli-number tail of the asymptotic expansion of psi
@@ -154,11 +177,23 @@ _PSI_ASYMP = (
 
 
 def digamma(x):
-    """psi(x) = Gamma'(x)/Gamma(x); real in, real out; complex supported."""
+    """psi(x) = Gamma'(x)/Gamma(x); real in, real out; complex supported.
+
+    The asymptotic series is read at Re s >= 10, reached by the upward
+    recurrence psi(s) = psi(s + 1) - 1/s.  Below Re s = -10 the reflection
+    psi(s) = psi(1 - s) - pi cot(pi s) is taken instead, with cot's argument
+    reduced by the nearest integer (exact in floats), so the cost does not
+    grow with |Re s|.  Raises AccuracyError where psi(s) does not fit a
+    float, beside a pole.
+    """
     want_complex = isinstance(x, complex)
     s = complex(x)
     if _is_nonpositive_int(s):
         raise PoleError(f"digamma pole at {s}")
+    reflect = s.real < -10.0
+    if reflect:
+        cot = math.pi / cmath.tan(math.pi * (s - round(s.real)))
+        s = 1.0 - s
     acc = 0.0 + 0.0j
     while s.real < 10.0:
         acc -= 1.0 / s
@@ -170,6 +205,10 @@ def digamma(x):
         tail -= float(b) * up
         up *= u
     val = acc + cmath.log(s) - 0.5 / s + tail
+    if reflect:
+        val -= cot
+    if not cmath.isfinite(val):
+        raise AccuracyError(f"digamma at {x} overflows a float: {val}")
     return val if want_complex else val.real
 
 
@@ -179,7 +218,7 @@ def _psi_over_gamma(s: complex) -> complex:
     if _is_nonpositive_int(s):
         j = int(round(-s.real))
         return complex(-((-1.0) ** j) * math.factorial(j))
-    return digamma(s) / complex_gamma(s)
+    return _over_gamma(digamma(s), s)
 
 
 # ---------------------------------------------------------------- families
@@ -233,16 +272,20 @@ def _overflows(x) -> bool:
     return not is_exact(x) and not cmath.isfinite(x)
 
 
+def _exact_params(family: CatalogFamily) -> bool:
+    return all(is_exact(v) for _, v in family.params if not isinstance(v, str))
+
+
 def catalog_family(tag: str, **params) -> CatalogFamily:
     """Validated family record; ParameterError outside the validity domain.
 
-    Besides the parameter names, TrigHyp's variant and omega > 0, and
-    BesselLogSecond's integer n >= 0, validity comes from the term ratio
-    A^{n+1}/A^n = K prod(n + t) / prod(n + b) (_term_ratio): the family is
-    a hypergeometric term exactly when A^0 is finite and no t or b is a
-    non-positive integer.  With float parameters A^0 and the n = 0 ratio
-    must also stay finite floats; later ratios cannot overflow, since
-    n + b >= ulp(n) for every bottom b that is no non-positive integer.
+    Besides the parameter names, finite floats, TrigHyp's variant and
+    omega > 0, and BesselLogSecond's integer n >= 0, validity comes from the
+    term ratio A^{n+1}/A^n = K prod(n + t) / prod(n + b) (_term_ratio), on
+    the parameters' exact values: the family is a hypergeometric term
+    exactly when A^0 is finite and no t or b is a non-positive integer.
+    With float parameters A^0 and the n = 0 ratio, each rounded once, must
+    also be finite floats.
     """
     if tag not in _FAMILY_PARAMS:
         raise ParameterError(f"unknown family tag {tag!r}")
@@ -252,6 +295,10 @@ def catalog_family(tag: str, **params) -> CatalogFamily:
     if set(params) != expected:
         raise ParameterError(
             f"{tag} expects params {sorted(expected)}, got {sorted(params)}")
+    shown = ", ".join(f"{name}={v}" for name, v in sorted(params.items()))
+    for name, v in sorted(params.items()):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ParameterError(f"{tag}({shown}): {name} = {v} is not finite")
 
     if tag == "TrigHyp":
         if params["variant"] not in _TRIG_VARIANTS:
@@ -273,12 +320,12 @@ def catalog_family(tag: str, **params) -> CatalogFamily:
         why = next((f"{side} = {x} of the term ratio is a non-positive integer"
                     for side, xs in (("top t", tops), ("bottom b", bottoms))
                     for x in xs if _nonpositive_int_param(x)), None)
-        if why is None and _overflows(coeff):
-            why = "A^0 overflows"
-        elif why is None and _overflows(k * math.prod(tops) / math.prod(bottoms)):
-            why = "the n = 0 term ratio overflows"
+        if why is None and not _exact_params(family):
+            ratio0 = k * math.prod(tops) / math.prod(bottoms)
+            why = next((f"{what} overflows"
+                        for what, x in (("A^0", coeff), ("the n = 0 term ratio", ratio0))
+                        if math.isinf(pair_float((x.numerator, x.denominator)))), None)
     if why is not None:
-        shown = ", ".join(f"{name}={v}" for name, v in family.params)
         raise ParameterError(f"{tag}({shown}): {why}")
     return family
 
@@ -337,14 +384,6 @@ def family_operator(family: CatalogFamily, order: int = 20):
     return _driving_term(prob, spec, c0, c1, order), lambda f: apply_A(spec, f)
 
 
-def _one(*xs) -> Scalar:
-    return Fraction(1) if all(map(is_exact, xs)) else 1.0
-
-
-def _half(x) -> Scalar:
-    return Fraction(1, 2) if is_exact(x) else 0.5
-
-
 # --------------------------------------------------- fractional powers A^v
 
 @dataclass(frozen=True)
@@ -368,9 +407,9 @@ def fractional_power_coeff(family: CatalogFamily, v) -> PowerData:
     """Coefficient/exponent data of A^v applied to the family seed.
 
     Integer v >= 0 is the v-th element of integer_powers (v steps): exact
-    rationals equal to v-fold family_operator application for
-    exact params, and within 1e-13 relative of the Pochhammer closed forms
-    for float params and v <= 200, wherever those stay normal floats.
+    rationals equal to v-fold family_operator application for exact
+    params, and for float params the exact power of the dyadic parameters,
+    rounded once.
     Non-integer v continues the term ratio A^{n+1}/A^n = K prod(n + t) /
     prod(n + b) through gamma: A^0 K^v prod Gamma(t + v)/Gamma(t)
     prod Gamma(b)/Gamma(b + v), with K^v = |K|^v e^{i pi v} for K < 0 (see
@@ -380,7 +419,7 @@ def fractional_power_coeff(family: CatalogFamily, v) -> PowerData:
     validated numerically rather than proven.
 
     Raises AccuracyError when a float coefficient is not finite, or when a
-    gamma factor overflows a float on the way (large |v|).
+    gamma factor leaves the float range on the way (large |v|).
     """
     n_int = _as_nonneg_int(v)
     if n_int is not None:
@@ -419,11 +458,11 @@ def integer_powers(family: CatalogFamily):
 
     Each family's integer powers are defined here once, by their term
     ratio: every coefficient is the previous one times one ratio, so the
-    first T powers cost T steps.  With exact parameters the values are exact
-    rationals, equal to n-fold family_operator application: Fractions in
-    lowest terms, walked on reduced int pairs (_pair_walk).  With float
-    parameters each step rounds; the values agree with the Pochhammer closed
-    forms to 1e-13 relative for n <= 200, wherever those stay normal floats.
+    first T powers cost T exact steps on reduced int pairs (_pair_walk),
+    with a float parameter read as the dyadic rational it is.  With exact
+    parameters the values are Fractions in lowest terms, equal to n-fold
+    family_operator application; with float parameters, the exact powers of
+    the dyadic parameters, each rounded once to the nearest float.
 
     The logarithmic family has no term ratio.  Its powers are that n-fold
     application itself (_operator_powers): Fraction coefficients at int
@@ -433,19 +472,10 @@ def integer_powers(family: CatalogFamily):
     if family.tag == "BesselLogSecond":
         yield from _operator_powers(family)
         return
-    coeff, k, tops, bottoms, base, step = _term_ratio(family)
-    if all(map(is_exact, (coeff, k, *tops, *bottoms))):
-        yield from _pair_walk(coeff, k, tops, bottoms, base, step)
-        return
-    n = 0
-    while True:
-        yield PowerData(coeff, base + step * n)
-        coeff = coeff * (k * math.prod(n + t for t in tops)
-                         / math.prod(n + b for b in bottoms))
-        n += 1
+    yield from _pair_walk(*_term_ratio(family), _exact_params(family))
 
 
-def _pair_walk(coeff, k, tops, bottoms, base, step):
+def _pair_walk(coeff, k, tops, bottoms, base, step, exact):
     """The exact term-ratio walk on reduced int pairs.  With t = tn/td and
     b = bn/bd, the ratio K prod(n + t) / prod(n + b) at step n is
 
@@ -453,15 +483,17 @@ def _pair_walk(coeff, k, tops, bottoms, base, step):
 
     one scalars.ratio of two int products, and the pair of each coefficient
     is the previous one times it (pair_mul).  Every pair stays in lowest
-    terms, so each power's Fraction takes it as it is (pair_fraction): the
-    same values and types as Fraction arithmetic, with A^0 the coefficient
-    itself."""
+    terms, so each power is rounded once: with exact parameters its Fraction
+    takes the pair as it is (pair_fraction), the same values and types as
+    Fraction arithmetic, with A^0 the coefficient itself; otherwise it is
+    the nearest float (pair_float)."""
     num0 = k.numerator * math.prod(b.denominator for b in bottoms)
     den0 = k.denominator * math.prod(t.denominator for t in tops)
     tops = [(t.denominator, t.numerator) for t in tops]
     bottoms = [(b.denominator, b.numerator) for b in bottoms]
     value = (coeff.numerator, coeff.denominator)
-    yield PowerData(coeff, base)
+    rounded = pair_fraction if exact else pair_float
+    yield PowerData(coeff if exact else pair_float(value), base)
     n = 0
     while True:
         num, den = num0, den0
@@ -471,38 +503,41 @@ def _pair_walk(coeff, k, tops, bottoms, base, step):
             den *= n * d + b
         value = pair_mul(value, ratio(num, den))
         n += 1
-        yield PowerData(pair_fraction(value), base + step * n)
+        yield PowerData(rounded(value), base + step * n)
 
 
 def _term_ratio(family: CatalogFamily):
     """Every family but the logarithmic one as a hypergeometric term:
     (A^0 coefficient, K, tops, bottoms, base, step), where A^n sits at
-    z^(base + step n) and A^{n+1}/A^n = K prod(n + t) / prod(n + b)."""
+    z^(base + step n) and A^{n+1}/A^n = K prod(n + t) / prod(n + b).  All
+    but base are exact: a float parameter is read as the Fraction it is."""
     tag = family.tag
+    exact = CatalogFamily(tag, tuple((name, v if isinstance(v, str) else Fraction(v))
+                                     for name, v in family.params))
     if tag == "Exp":
         return Fraction(1), Fraction(-1), (), (1,), 0, 1
     if tag == "TrigHyp":
-        omega = family.param("omega")
+        omega = exact.param("omega")
         variant = family.param("variant")
-        k = _one(omega) * omega * omega / 4
+        k = omega * omega / 4
         shift = 0 if variant in ("cos", "cosh") else 1
-        return (_one(omega), -k if variant in ("cosh", "sinh") else k, (),
+        return (Fraction(1), -k if variant in ("cosh", "sinh") else k, (),
                 (Fraction(shift + 1, 2), Fraction(shift + 2, 2)), 0, 2)
     if tag == "BesselRegular":
-        nu = family.param("nu")
-        return _one(nu), Fraction(1, 4), (), (1, 1 + nu), 0, 2
+        nu = exact.param("nu")
+        return Fraction(1), Fraction(1, 4), (), (1, 1 + nu), 0, 2
     if tag == "BesselIrregular":
-        nu = family.param("nu")
-        return -_half(nu) / nu, Fraction(1, 4), (), (1, 1 - nu), -2 * nu, 2
+        nu = exact.param("nu")
+        return (-Fraction(1, 2) / nu, Fraction(1, 4), (), (1, 1 - nu),
+                -2 * family.param("nu"), 2)
     if tag in ("Hyp1F1Regular", "Hyp1F1Irregular",
                "Hyp2F1Regular", "Hyp2F1Irregular"):
-        *tops, c = _hyp_params(family)
-        return _one(*tops, c), Fraction(-1), tops, (1, c), 0, 1
+        *tops, c = _hyp_params(exact)
+        return Fraction(1), Fraction(-1), tops, (1, c), 0, 1
     if tag == "Struve":
-        nu = family.param("nu")
+        nu = exact.param("nu")
         half3 = Fraction(3, 2)
-        return (_one(nu) / (2 * nu + 1), Fraction(1, 4), (),
-                (half3, half3 + nu), 1, 2)
+        return Fraction(1) / (2 * nu + 1), Fraction(1, 4), (), (half3, half3 + nu), 1, 2
     raise ParameterError(tag)  # pragma: no cover
 
 
@@ -640,29 +675,36 @@ def mellin_integrand(family: CatalogFamily, s: complex, z: float) -> complex:
 
     Raises AccuracyError when a factor overflows a float, as K^{-s} does
     for K < 0 once pi |Im s| passes about 709, and as the gamma_form's
-    Gamma(1 + nu) does for Bessel nu = 200.
+    Gamma(1 + nu) does for Bessel nu = 200; when a Gamma it divides by
+    underflows to 0; and when the product is not finite, as where a factor
+    near the top of the float range meets one near its bottom.
     """
     s = complex(s)
     zf = float(z)
     if zf <= 0:
         raise ValueError("z must be positive")
-    if family.tag == "BesselLogSecond":
-        data = fractional_power_coeff(family, -s)
-        return complex_gamma(s) * complex_gamma(1 - s) * evaluate_power(data, zf)
     try:
-        form = family.gamma_form
-        val = (complex_gamma(s) * form.scale
-               * cmath.exp((form.base - form.step * s) * math.log(zf) - s * form.log_k))
-        if not form.cancels_one:
-            val *= complex_gamma(1 - s)
-        for t in form.tops:
-            val *= complex_gamma(t - s)
-        for b in form.line_bottoms:
-            val *= _recip_gamma(b - s)
+        if family.tag == "BesselLogSecond":
+            data = fractional_power_coeff(family, -s)
+            val = complex_gamma(s) * complex_gamma(1 - s) * evaluate_power(data, zf)
+        else:
+            form = family.gamma_form
+            val = (complex_gamma(s) * form.scale
+                   * cmath.exp((form.base - form.step * s) * math.log(zf) - s * form.log_k))
+            if not form.cancels_one:
+                val *= complex_gamma(1 - s)
+            for t in form.tops:
+                val *= complex_gamma(t - s)
+            for b in form.line_bottoms:
+                val *= _recip_gamma(b - s)
+            val *= family_target_factor(family, zf)
     except (OverflowError, AccuracyError) as exc:
         raise AccuracyError(f"the integrand of {family.tag} at s = {s} overflows a "
                             f"float ({exc})") from exc
-    return val * family_target_factor(family, zf)
+    if not cmath.isfinite(val):
+        raise AccuracyError(f"the integrand of {family.tag} at s = {s} overflows a "
+                            f"float: {val}")
+    return val
 
 
 # ----------------------------------------------------------- the quadrature

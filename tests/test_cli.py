@@ -566,6 +566,18 @@ def test_contour_whose_gamma_overflows_a_float_exits_three(capsys):
     assert "overflows a float" in captured.err
 
 
+def test_contour_whose_gamma_underflows_exits_three(capsys):
+    # Gamma(1/3 - s) underflows to 0 on this tall line; 1/Gamma was a bare
+    # ZeroDivisionError, printed as a solve error with exit 2
+    code = main(["contour", "--family", "bessel", "--nu", "1/3", "--z", "0.5",
+                 "--half-height", "500", "--step", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("accuracy error: the integrand of BesselRegular")
+    assert "underflows a float" in captured.err
+
+
 def test_contour_bad_spec_exits_two(capsys):
     code = main(["contour", "--family", "exp", "--z", "0.5",
                  "--abscissa", "1.5"])

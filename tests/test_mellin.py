@@ -17,7 +17,7 @@ from pathlib import Path
 import mpmath
 import pytest
 import scipy.special as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import regsing.catalog
@@ -48,10 +48,8 @@ from regsing.mellin import (
     PowerData,
     ResidueResult,
     _family_problem,
-    _half,
     _hyp_params,
     _nonpositive_int_param,
-    _one,
     _recip_gamma,
     _term_ratio,
     catalog_family,
@@ -66,7 +64,7 @@ from regsing.mellin import (
     mellin_integrand,
     residue_eval,
 )
-from regsing.scalars import as_int
+from regsing.scalars import Scalar, as_int, is_exact
 from regsing.solver import solve
 
 from test_cli import COMPARE_CASES
@@ -192,6 +190,57 @@ def test_digamma_poles():
             digamma(x)
 
 
+@pytest.mark.parametrize("s", [complex(-1e6, 0.5), complex(-1e20, 0.5), complex(-10.5, 3),
+                               -11.3, -999999.5])
+def test_digamma_far_left_is_the_reflection(s):
+    # the upward recurrence took O(|Re s|) steps, and stalled past 2^53
+    ref = complex(mpmath.digamma(mpmath.mpmathify(s)))
+    got = digamma(s)
+    assert type(got) is type(s)
+    assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("s", [complex(125.34175496091035, -548.6107381011601),
+                               complex(182.41370875569976, 716.523979294959),
+                               complex(79.02313743239384, -527.44128503091)])
+def test_gamma_whose_lanczos_product_leaves_the_float_range_is_taken_in_logs(s):
+    # the product read nan at the first two points and 0 at the third,
+    # where Gamma(s) is a normal float
+    ref = complex(mpmath.gamma(mpmath.mpc(s)))
+    assert abs(complex_gamma(s) - ref) <= 2e-12 * abs(ref)
+
+
+def test_gamma_beyond_the_float_range_of_the_log_form_is_an_accuracy_error():
+    # the Lanczos product read nan here too, but Gamma(s) overflows a float
+    with pytest.raises(AccuracyError, match="overflows a float") as exc:
+        complex_gamma(complex(370.2701889648052, 1039.2003859619444))
+    assert isinstance(exc.value.__cause__, OverflowError)
+
+
+@pytest.mark.parametrize("s", [1e-310, complex(0, 1e-310)])
+def test_gamma_and_digamma_beside_a_pole_are_accuracy_errors(s):
+    # Gamma(s) is about 1/s there, and was returned as inf
+    with pytest.raises(AccuracyError, match="overflows a float"):
+        complex_gamma(s)
+    with pytest.raises(AccuracyError, match="overflows a float"):
+        digamma(s / 1e10)
+
+
+def test_division_by_a_gamma_that_underflows_is_an_accuracy_error():
+    # Gamma(-100 + 200i) underflows to 0, and 1/Gamma was a bare
+    # ZeroDivisionError, here and inside the gamma form
+    with pytest.raises(AccuracyError, match="underflows a float") as exc:
+        _recip_gamma(complex(-100, 200))
+    assert isinstance(exc.value.__cause__, ZeroDivisionError)
+    family = catalog_family("BesselRegular", nu=Fr(1, 3))
+    with pytest.raises(AccuracyError, match="underflows a float") as exc:
+        fractional_power_coeff(family, complex(-29.054902882142933, -399.91802575226956))
+    assert isinstance(exc.value.__cause__.__cause__, ZeroDivisionError)
+    for s in (complex(0.5, 470), complex(0.5, -470)):
+        with pytest.raises(AccuracyError, match="the integrand of BesselRegular at s = "):
+            mellin_integrand(family, s, 0.5)
+
+
 # ---------------------------------------------------------------- families
 
 def test_family_validation():
@@ -227,7 +276,8 @@ def test_family_validation():
 
 def _catalog_family_by_tag(tag, **params):
     """Test oracle: catalog_family as it was written per tag, before its
-    validity rules were read from the term ratio."""
+    validity rules were read from the term ratio, with each float parameter
+    read as the dyadic rational it is, as the term ratio reads it."""
     if tag not in _FAMILY_PARAMS:
         raise ParameterError(f"unknown family tag {tag!r}")
     if tag == "TrigHyp":
@@ -242,7 +292,9 @@ def _catalog_family_by_tag(tag, **params):
             raise ParameterError(f"variant must be one of {_TRIG_VARIANTS}")
         if not float(params["omega"]) > 0:
             raise ParameterError("omega must be positive")
-    elif tag == "BesselRegular":
+    record = CatalogFamily(tag, tuple(sorted(params.items())))
+    params = {name: Fr(v) if isinstance(v, float) else v for name, v in params.items()}
+    if tag == "BesselRegular":
         if _nonpositive_int_param(params["nu"] + 1):
             raise ParameterError("nu must not be a negative integer")
     elif tag == "BesselIrregular":
@@ -255,7 +307,7 @@ def _catalog_family_by_tag(tag, **params):
         n = as_int(params["n"])
         if n is None or n < 0:
             raise ParameterError("n must be a non-negative integer")
-        params = {"n": n}
+        record = CatalogFamily(tag, (("n", n),))
     elif tag.startswith("Hyp"):
         family = CatalogFamily(tag, tuple(sorted(params.items())))
         if any(_nonpositive_int_param(x) for x in _hyp_params(family)):
@@ -266,7 +318,7 @@ def _catalog_family_by_tag(tag, **params):
         if 2 * nu + 1 == 0 or _nonpositive_int_param(nu + Fr(3, 2)):
             raise ParameterError("nu = -1/2, -3/2, ... not supported")
 
-    return CatalogFamily(tag, tuple(sorted(params.items())))
+    return record
 
 
 # integers, half-integers (-1/2, -3/2 and nu = 0 among them) and rationals
@@ -338,6 +390,25 @@ def test_family_refuses_a_term_ratio_that_overflows():
     fam = catalog_family("Struve", nu=-0.49999999999999994)
     assert 9.0e15 <= next(integer_powers(fam)).coefficient <= 9.01e15
     assert math.isfinite(residue_eval(fam, 0.3))
+
+
+@pytest.mark.parametrize("tag, name", [(tag, name) for tag in sorted(_FAMILY_PARAMS)
+                                       for name in _FAMILY_PARAMS[tag] if name != "variant"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_family_refuses_a_parameter_that_is_not_finite(tag, name, x):
+    # BesselRegular(nu=inf) was accepted, and residue_eval of it read 1.0
+    params = {other: "cos" if other == "variant" else Fr(1, 3) for other in _FAMILY_PARAMS[tag]}
+    params[name] = x
+    with pytest.raises(ParameterError, match=rf"^{tag}\(.*\): {name} = {x} is not finite$"):
+        catalog_family(tag, **params)
+
+
+def test_float_parameters_are_read_exactly():
+    # a + 1 - c is 0.0 in floats, a non-positive integer, but
+    # 1/1125899906842624000 exactly
+    fam = catalog_family("Hyp1F1Irregular", a=-1 / 1000, c=0.999)
+    tops = _term_ratio(fam)[2]
+    assert tops == [Fr(-1 / 1000) + 1 - Fr(0.999)] and 0 < tops[0] < Fr(1, 10**18)
 
 
 # -------------------------------------------------------- fractional powers
@@ -582,6 +653,17 @@ def test_integrand_that_overflows_a_float_is_refused(family):
         contour_eval(family, 0.5, ContourSpec(half_height=300, step=0.5), full_output=True)
 
 
+@pytest.mark.parametrize("family, s", [
+    (catalog_family("TrigHyp", variant="cosh", omega=1), complex(9.536280324335188, 188.31656231047202)),
+    (catalog_family("BesselRegular", nu=150), complex(24.24478025978688, 43.91882047973115)),
+], ids=lambda x: getattr(x, "tag", None))
+def test_integrand_that_is_not_finite_is_refused(family, s):
+    # every factor is a finite float, and the product read nan+nanj
+    with pytest.raises(AccuracyError, match=rf"^the integrand of {family.tag} at s = "
+                                            r".* overflows a float: \(nan\+nanj\)$"):
+        mellin_integrand(family, s, 0.3)
+
+
 # ---------------------------------------------------------------- integrand
 
 def test_exp_integrand_frozen_point():
@@ -745,6 +827,16 @@ def test_struve_unscaled_routes_agree():
 
 
 # ------------------------------------ term-ratio powers vs the closed forms
+
+def _one(*xs) -> Scalar:
+    """Test oracle helper: 1 in the mode of xs, so that a closed form's type
+    follows its parameters."""
+    return Fr(1) if all(map(is_exact, xs)) else 1.0
+
+
+def _half(x) -> Scalar:
+    return Fr(1, 2) if is_exact(x) else 0.5
+
 
 def _pochhammer_power(family, n):
     """Test oracle: A^n(seed) from the Pochhammer, factorial and harmonic
@@ -925,14 +1017,28 @@ def test_float_parameter_powers_within_stated_tolerance(family):
 
 # ------------------------------------- the pair walk vs the Fraction walk
 
+def _round_once(x: Fr) -> float:
+    """The float nearest x, and +-inf beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _fraction_walk(family):
-    """Test oracle: the term-ratio walk in Fraction arithmetic (float
-    arithmetic for float parameters), the loop integer_powers ran for every
-    family before exact parameters were walked on reduced int pairs."""
-    coeff, k, tops, bottoms, base, step = _term_ratio(family)
+    """Test oracle: the term-ratio walk in Fraction arithmetic, the loop
+    integer_powers ran for exact parameters before they were walked on
+    reduced int pairs.  A family with a float parameter is walked at the
+    Fractions of its parameters, each power rounded once to a float, at
+    the exponents of the family itself."""
+    exact = catalog_family(family.tag, **{name: v if isinstance(v, str) else Fr(v)
+                                          for name, v in family.params})
+    coeff, k, tops, bottoms, _, _ = _term_ratio(exact)
+    *_, base, step = _term_ratio(family)
+    rounded = any(isinstance(v, float) for _, v in family.params)
     n = 0
     while True:
-        yield PowerData(coeff, base + step * n)
+        yield PowerData(_round_once(coeff) if rounded else coeff, base + step * n)
         coeff = coeff * (k * math.prod(n + t for t in tops)
                          / math.prod(n + b for b in bottoms))
         n += 1
@@ -983,6 +1089,64 @@ def test_residue_eval_is_the_sum_of_the_fraction_walk(monkeypatch, family):
     got = sums()
     monkeypatch.setattr(regsing.mellin, "integer_powers", _fraction_walk)
     assert got == sums()
+
+
+@st.composite
+def float_parameter_families(draw):
+    tag = draw(st.sampled_from(sorted(set(_FAMILY_PARAMS) - {"Exp", "BesselLogSecond"})))
+    params = {name: draw(st.sampled_from(_TRIG_VARIANTS) if name == "variant"
+                         else st.floats(0, 6, exclude_min=True) if name == "omega"
+                         else st.floats(-6, 6))
+              for name in _FAMILY_PARAMS[tag]}
+    try:
+        return catalog_family(tag, **params)
+    except ParameterError:
+        assume(False)
+
+
+@given(float_parameter_families())
+@example(catalog_family("Hyp2F1Irregular", a=0.7, b=-1.3, c=0.4))
+@settings(max_examples=40, deadline=None)
+def test_float_parameter_powers_are_the_exact_powers_rounded_once(family):
+    # the float ratio loop ended 4 to 49 ulp from these at n <= 200
+    got = list(islice(integer_powers(family), 201))
+    assert repr(got) == repr(list(islice(_fraction_walk(family), 201)))
+
+
+SWEEP_FAMILIES = ORACLE_FAMILIES + [catalog_family("BesselRegular", nu=150)]
+_sweep_points = st.builds(complex, st.floats(-200, 200), st.floats(-800, 800))
+
+
+def _assert_finite_or_refused(f, *args):
+    try:
+        value = f(*args)
+    except (PoleError, AccuracyError, ValueError):
+        return
+    if isinstance(value, PowerData):
+        value = (value.coefficient, value.exponent, value.log_coefficient)
+    else:
+        value = (value,)
+    assert all(is_exact(x) or cmath.isfinite(x) for x in value), (f.__name__, args, value)
+
+
+@given(st.sampled_from(SWEEP_FAMILIES), _sweep_points, _sweep_points,
+       st.floats(0, 1, exclude_min=True, exclude_max=True))
+# Gamma's Lanczos product read nan; 1/Gamma(1/3 + v) divided by 0
+@example(catalog_family("BesselRegular", nu=Fr(1, 3)),
+         complex(125.34175496091035, -548.6107381011601),
+         complex(-29.054902882142933, -399.91802575226956), 0.5)
+# 1/Gamma(1/3 - s) divided by 0; digamma at 1e-320i read inf
+@example(catalog_family("BesselRegular", nu=Fr(1, 3)), complex(0.5, 470), complex(0, 1e-320), 0.5)
+# the integrand read nan
+@example(catalog_family("BesselRegular", nu=150), complex(24.24478025978688, 43.91882047973115),
+         complex(0.5, 0), 0.3)
+@settings(max_examples=300, deadline=None)
+def test_mellin_layer_answers_a_finite_float_or_refuses(family, s, v, z):
+    _assert_finite_or_refused(complex_gamma, s)
+    _assert_finite_or_refused(digamma, s)
+    _assert_finite_or_refused(digamma, v)
+    _assert_finite_or_refused(fractional_power_coeff, family, v)
+    _assert_finite_or_refused(mellin_integrand, family, s, z)
 
 
 # ------------------------------------------- structural guard: O(terms) walks
