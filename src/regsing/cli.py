@@ -3,8 +3,8 @@ run contour quadrature diagnostics, and compare solver output against the
 classical-series oracles.
 
 Exit codes: 0 success, 1 parse/schema errors, 2 solve-domain errors,
-3 accuracy errors (quadrature tails, tolerance violations, residues that
-do not fit a float).
+3 accuracy errors (quadrature tails, tolerance violations, solves, sums
+and residues that do not fit a float).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .logseries import (
     NonIntegerExponentGap,
     evaluate,
     linear_combine,
+    shift_exponent,
 )
 from .mellin import (
     _FAMILY_PARAMS,
@@ -248,16 +249,16 @@ _FAMILY_CLI = {
                lambda p, n: hyp2f1_series(p["a"], p["b"], p["c"], n)),
     "hyp2f1_irregular": ("Hyp2F1Irregular", lambda p, n: hyp2f1_series(
         p["a"] + 1 - p["c"], p["b"] + 1 - p["c"], 2 - p["c"], n)),
-    "struve": ("Struve", lambda p, n: struve_series(p["nu"], n, scaled=True)),
+    # struve_series is psi, based at 1 + nu; f = z^{-nu} psi (the family's root is nu)
+    "struve": ("Struve", lambda p, n: shift_exponent(struve_series(p["nu"], n, scaled=True),
+                                                     -p["nu"])),
 }
 
 
 def _family_solver_series(name: str, fam, order: int):
-    """(solver LogSeries, oracle LogSeries) of the family: f, or psi for
-    Struve."""
+    """(solver f, oracle LogSeries) of the family."""
     oracle = _FAMILY_CLI[name][1](dict(fam.params), order)
-    sol = solve(*_family_problem(fam, order), order=order)
-    return (sol.psi if fam.tag == "Struve" else sol.f), oracle
+    return solve(*_family_problem(fam, order), order=order).f, oracle
 
 
 # ---------------------------------------------------------------- commands
@@ -310,13 +311,14 @@ def cmd_eval(args) -> int:
         if exact.residual_leading_order is not None:
             raise DomainError(f"z = {outside[0]} is outside the disc |z| < "
                               f"{problem.radius} of a series that does not terminate")
+    values = [evaluate(sol.psi, z) for z in points]     # all or nothing
     if args.format == "csv":
         print("z,value")
-        for z in points:
-            print(f"{z!r},{evaluate(sol.psi, z)!r}")
+        for z, value in zip(points, values):
+            print(f"{z!r},{value!r}")
     else:
-        for z in points:
-            print(f"psi({z}) = {evaluate(sol.psi, z):.12g}")
+        for z, value in zip(points, values):
+            print(f"psi({z}) = {value:.12g}")
     return 0
 
 

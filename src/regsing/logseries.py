@@ -255,18 +255,27 @@ def integrate_log_vector(v: list[int], pq: int, q: int) -> tuple[list[int], int]
 
 
 def evaluate(f: LogSeries, z: float) -> float:
-    """Float value of the truncated sum at a point z > 0."""
+    """Float value of the truncated sum at a point z > 0, each coefficient
+    rounded to a float once.  Raises AccuracyError, chained from the
+    OverflowError, where an exact coefficient or a power of z or log z does
+    not fit a float, and where the sum is not finite."""
     if z <= 0:
         raise DomainError(f"series evaluation needs z > 0, got {z}")
     lz = math.log(z)
     total = 0.0
-    for k in range(f.max_log_power + 1):
-        # Horner in z for the log^k slice
-        acc = 0.0
-        for m in range(f.order, -1, -1):
-            acc = acc * z + float(f.coeffs.get((m, k), 0))
-        total += acc * lz**k
-    return total * z ** float(f.sigma)
+    try:
+        for k in range(f.max_log_power + 1):
+            # Horner in z for the log^k slice
+            acc = 0.0
+            for m in range(f.order, -1, -1):
+                acc = acc * z + float(f.coeffs.get((m, k), 0))
+            total += acc * lz**k
+        total *= z ** float(f.sigma)
+    except OverflowError as exc:
+        raise AccuracyError(f"the series at z = {z} leaves the float range ({exc})") from exc
+    if not math.isfinite(total):
+        raise AccuracyError(f"the series at z = {z} does not sum to a finite float: {total}")
+    return total
 
 
 _NORM_SAMPLES = 1000

@@ -272,6 +272,17 @@ def _overflows(x) -> bool:
     return not is_exact(x) and not cmath.isfinite(x)
 
 
+def _out_of_range(exc: BaseException) -> str:
+    """How a gamma-form value left the float range: "underflows" where the
+    cause chain of exc holds the ZeroDivisionError of a Gamma that
+    underflowed to 0 (_over_gamma), "overflows" otherwise."""
+    while exc is not None:
+        if isinstance(exc, ZeroDivisionError):
+            return "underflows"
+        exc = exc.__cause__
+    return "overflows"
+
+
 def _exact_params(family: CatalogFamily) -> bool:
     return all(is_exact(v) for _, v in family.params if not isinstance(v, str))
 
@@ -446,7 +457,8 @@ def fractional_power_coeff(family: CatalogFamily, v) -> PowerData:
                     coeff *= _recip_gamma(b + v)
                 data = PowerData(coeff, form.base + form.step * v)
         except (OverflowError, AccuracyError) as exc:
-            raise AccuracyError(f"A^{v} of {family.tag} overflows a float ({exc})") from exc
+            raise AccuracyError(f"A^{v} of {family.tag} {_out_of_range(exc)} a float "
+                                f"({exc})") from exc
     if _overflows(data.coefficient) or _overflows(data.log_coefficient):
         raise AccuracyError(f"A^{v} of {family.tag} is not a finite float: coefficient "
                             f"{data.coefficient}, log coefficient {data.log_coefficient}")
@@ -699,8 +711,8 @@ def mellin_integrand(family: CatalogFamily, s: complex, z: float) -> complex:
                 val *= _recip_gamma(b - s)
             val *= family_target_factor(family, zf)
     except (OverflowError, AccuracyError) as exc:
-        raise AccuracyError(f"the integrand of {family.tag} at s = {s} overflows a "
-                            f"float ({exc})") from exc
+        raise AccuracyError(f"the integrand of {family.tag} at s = {s} "
+                            f"{_out_of_range(exc)} a float ({exc})") from exc
     if not cmath.isfinite(val):
         raise AccuracyError(f"the integrand of {family.tag} at s = {s} overflows a "
                             f"float: {val}")

@@ -87,21 +87,20 @@ def make_f0(spec: OperatorSpec, c0: Scalar, c1: Scalar, order: int) -> LogSeries
     """Kernel of L: f0 = c0 + c1 * int z^-alpha dz.
 
     alpha != 1: f0 = c0 + c1 z^{1-alpha}/(1-alpha); alpha = 1: c0 + c1 log z.
+    A zero seed leaves no term (a LogSeries drops zero coefficients), so a
+    single seed is one monomial at any alpha; both seeds raise
+    NonIntegerExponentGap where 1 - alpha is not an integer.
     """
     a = spec.alpha
     if a == 1:
         return LogSeries(0, order, {(0, 0): c0, (0, 1): c1})
     if not is_exact(a) and abs(a - 1) < 1e-12:
         raise SingularTerm(f"alpha {a} within 1e-12 of 1: f0 branch undecidable")
-    tail = LogSeries.monomial(c1 / (1 - a), 1 - a, order) if c1 != 0 else None
-    head = LogSeries.monomial(c0, 0, order) if c0 != 0 else None
-    if head is None and tail is None:
-        return LogSeries.zero(order)
-    if tail is None:
+    head = LogSeries.monomial(c0, 0, order)
+    if c1 == 0:
         return head
-    if head is None:
-        return tail
-    return linear_combine(1, head, 1, tail)  # NonIntegerExponentGap if 1-alpha isn't an integer
+    tail = LogSeries.monomial(c1 / (1 - a), 1 - a, order)
+    return tail if c0 == 0 else linear_combine(1, head, 1, tail)
 
 
 def apply_A(spec: OperatorSpec, f: LogSeries) -> LogSeries:

@@ -37,11 +37,12 @@ those slots, in the (o, a2, a1, a0) layout of OdeProblem.slots.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .logseries import LogSeries, integer_slots
+from .logseries import AccuracyError, LogSeries, integer_slots
 from .scalars import Scalar, as_int, is_exact, mode as scalar_mode
 
 
@@ -112,6 +113,8 @@ class IndexData:
     p_minus1: Scalar
 
     def alpha_for(self, lam: Scalar) -> Scalar:
+        if self.double_root and not is_exact(lam):
+            return 1.0      # where 2 lam + p_{-1} rounds off 1 as p_{-1} - 1 did
         return 2 * lam + self.p_minus1
 
 
@@ -129,19 +132,33 @@ def indicial(problem: OdeProblem) -> IndexData:
 
     Rational roots stay exact when the discriminant is a perfect rational
     square; otherwise both roots downgrade to float.
+
+    A float discriminant b^2 - 4 q_{-2}, b = p_{-1} - 1, is read as 0 (a
+    double root) when its magnitude is at most
+
+        eps (|b p_{-1}| + 2 b^2 + 2 |q_{-2}|),    eps = 2^-52,
+
+    the first-order bound on the rounding error of computing it from
+    p_{-1} and q_{-2}, each itself a correctly rounded value: so the float
+    twin of an exact double root is a double root, not a complex pair or
+    two roots about sqrt(eps) apart.  A float discriminant beyond the float
+    range raises AccuracyError.
     """
     p1 = problem.p(-1)
     q2 = problem.q(-2)
     b = p1 - 1
     disc = b * b - 4 * q2
+    if not is_exact(disc):
+        if not math.isfinite(disc):
+            raise AccuracyError(f"indicial discriminant {disc}: the roots leave the "
+                                f"float range")
+        if abs(disc) <= sys.float_info.epsilon * (abs(b * p1) + 2 * b * b + 2 * abs(q2)):
+            disc = 0.0
     if disc < 0:
         raise ComplexRootsUnsupported(
             f"indicial discriminant {disc} < 0: complex exponents unsupported")
-    if is_exact(b) and is_exact(q2):
-        root = _exact_sqrt(Fraction(disc))
-        if root is None:
-            root = math.sqrt(disc)
-    else:
+    root = _exact_sqrt(disc) if is_exact(disc) else None
+    if root is None:
         root = math.sqrt(disc)
     half = Fraction(1, 2) if is_exact(b) and is_exact(root) else 0.5
     lam1 = (-b + root) * half
@@ -189,7 +206,8 @@ class OperatorSpec:
 def transform(problem: OdeProblem, root_choice: int) -> OperatorSpec:
     """OperatorSpec for the chosen indicial root (1 = larger, 2 = smaller):
     the slots o >= 1 of the normal form, each conjugated by z^lambda
-    (module docstring).
+    (module docstring).  A float conjugated slot beyond the float range
+    raises AccuracyError.
     """
     if root_choice not in (1, 2):
         raise ValueError("root_choice must be 1 or 2")
@@ -204,6 +222,9 @@ def transform(problem: OdeProblem, root_choice: int) -> OperatorSpec:
         c, d = a1, a0 + lam * a1
         if a2:     # else a1 stays as given, exact even at a float lambda
             c, d = c + 2 * lam * a2, d + lam * (lam - 1) * a2
+        if not (is_exact(d) or math.isfinite(c) and math.isfinite(d)):
+            raise AccuracyError(f"slot {o} at lambda = {lam} leaves the float range: "
+                                f"a1 = {c}, a0 = {d}")
         slots.append((o, a2, c, d))
     return OperatorSpec(alpha=idx.alpha_for(lam), lam=lam, slots=tuple(slots))
 

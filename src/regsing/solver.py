@@ -37,6 +37,11 @@ as it is, without a second gcd (scalars.pair_fraction), when the problem
 and the seeds are exact, and to the nearest float (pair_float) otherwise.
 Its iteration count is the dyadic problem's.  Only the log branches of a
 float solve are decided on its float exponents (operators._float_branch).
+A float solve is refused with AccuracyError where a value leaves the float
+range, at the step that rounds it: the indicial discriminant and the
+conjugated slots (problem), a driving-term coefficient (operators._image),
+and a coefficient of f as the forward substitution rounds it, so solve and
+neumann_apply_resolvent refuse alike.
 The exact arithmetic costs time at high order, where the dyadic
 denominators grow with every row: a float Gauss 2F1 solve at order 400
 takes three to four times as long as float arithmetic did, while float
@@ -70,7 +75,6 @@ from .problem import OdeProblem, OperatorSpec, indicial, transform
 from .scalars import (
     Scalar,
     as_int,
-    mode as scalar_mode,
     pair_add,
     pair_float,
     pair_fraction,
@@ -109,7 +113,8 @@ class Solution:
 
 def neumann_apply_resolvent(spec: OperatorSpec, g: LogSeries, order: int) -> LogSeries:
     """(1 + A)^{-1} g = sum_j (-A)^j g, exact through `order` above g's base
-    exponent."""
+    exponent.  Raises AccuracyError, as solve does, where a float
+    coefficient leaves the float range."""
     f, _ = _forward_substitute(spec, g, order)
     return f
 
@@ -138,7 +143,14 @@ def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[L
     n = min(order, g.order)
     image = _kernel(spec, g.sigma, n, spec.integer_slots, 0)
     exact = spec.mode == "exact" and g.mode == "exact"
-    final = pair_fraction if exact else pair_float
+    if exact:
+        final = pair_fraction
+    else:
+        def final(v):           # f[m, k], refused where it leaves the float range
+            c = pair_float(v)
+            if math.isinf(c):
+                raise AccuracyError(f"f[{m}, {k}] = {c}: the float solve left the float range")
+            return c
     rows: list[dict[int, list]] = [{} for _ in range(n + 1)]   # k -> entry
     for (m, k), c in g.coeffs.items():
         if m <= n:
@@ -223,8 +235,10 @@ def solve(problem: OdeProblem, root_choice: int, c0: Scalar, c1: Scalar,
     Exact mode gives the Neumann sum f = sum_j (-A)^j g bit for bit.  Float
     mode gives the same sum for the dyadic rationals the floats are, each
     coefficient rounded once to the nearest float; the residual check then
-    counts a term only above 1e-10 max|f|.  A float solve whose coefficients
-    leave the float range raises AccuracyError.
+    counts a term only above 1e-10 max|f|.  A float solve raises
+    AccuracyError where a coefficient of f leaves the float range, as it is
+    rounded, and likewise where the indicial roots, a conjugated slot or a
+    driving term do (module docstring).
     """
     n = problem.series_cutoff if order is None else order
     spec = transform(problem, root_choice)
@@ -236,9 +250,6 @@ def solve(problem: OdeProblem, root_choice: int, c0: Scalar, c1: Scalar,
             raise IndexMismatch(
                 f"c1 seed at root {spec.lam} produced {exc}") from exc
         raise
-    for (m, k), c in f.coeffs.items():
-        if isinstance(c, float) and not math.isfinite(c):
-            raise AccuracyError(f"f[{m}, {k}] = {c}: the float solve left the float range")
     psi = shift_exponent(f, spec.lam)
     sol = Solution(lam=spec.lam, f=f, psi=psi, iterations_used=used,
                    residual_leading_order=None, mode=psi.mode)
@@ -260,13 +271,15 @@ def residual(problem: OdeProblem, sol: Solution) -> Scalar | None:
     transform or A, so the residual stays a check of the solve.  An exact
     None means the substitution vanishes identically (a terminating
     solution); a float None only means that no coefficient exceeds
-    1e-10 * max|f|, as when the truncation residual is below that.
+    1e-10 * max|f|, as when the truncation residual is below that.  The
+    mode is the solution's, and the rows of an exact R are read off its
+    keys: a LogSeries holds no zero coefficient.
     """
     r = _substitute_exact(problem, sol)
     if problem.rhs is not None and not problem.rhs.is_zero():
         r = linear_combine(1, r, -1, truncate(problem.rhs, r.order))
-    if r.mode == "exact":
-        rows = [m for (m, _k), c in r.coeffs.items() if c != 0]
+    if sol.mode == "exact":
+        rows = [m for m, _k in r.coeffs]
     else:
         scale = max((abs(float(c)) for c in sol.f.coeffs.values()), default=1.0)
         tol = 1e-10 * max(1.0, scale)
@@ -286,7 +299,8 @@ def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
     output term.  A float is a dyadic rational, so a float lambda, slot or
     coefficient is read exactly; the terms are summed per key as reduced
     int pairs (operators._sum_images), and each nonzero sum is rounded once,
-    to a Fraction when the solution is exact and to a float otherwise."""
+    to a Fraction when the solution's mode is exact and to a float
+    otherwise."""
     den, slots = integer_slots(problem.slots)
     f = sol.f
     # above every row psi reaches (m <= f.order, and transform caps the
@@ -302,8 +316,7 @@ def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
                 for j, w in enumerate(euler_image(sq, q, k, a2, a1, a0)) if w]
 
     out = _sum_images(image, ((key, c.as_integer_ratio()) for key, c in f.coeffs.items()))
-    exact = scalar_mode(sol.lam, f.sigma, *f.coeffs.values()) == "exact"
-    final = pair_fraction if exact else pair_float
+    final = pair_fraction if sol.mode == "exact" else pair_float
     return LogSeries(base - problem.weight, horizon,
                      {key: final(v) for key, v in out.items()})
 

@@ -358,6 +358,35 @@ def test_eval_float_beyond_the_float_range_exits_three(tmp_path, capsys):
     assert "accuracy error:" in captured.err
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_eval_whose_sum_leaves_the_float_range_exits_three(tmp_path, capsys, mode, fmt):
+    # the coefficients fit a float, their sum at z = 1e5 does not: this
+    # printed psi(100000.0) = inf and exited 0
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(BESSEL_DOC, q={"-2": "-1/9", "0": "1" + "0" * 150},
+                                    series_cutoff=4)))
+    assert main(["eval", "--problem", str(path), "--mode", mode, "--format", fmt,
+                 "--c0", "1", "--z", "100000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("accuracy error: the series at z = 100000.0 does not sum "
+                            "to a finite float: inf\n")
+
+
+def test_eval_of_an_exact_coefficient_beyond_the_float_range_exits_three(tmp_path, capsys):
+    # the exact solve holds the coefficient; rounding it for the sum was a
+    # bare OverflowError, printed as a solve error with exit 2
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(BESSEL_DOC, q={"-2": "-1/9", "0": "1" + "0" * 160},
+                                    series_cutoff=12)))
+    assert main(["eval", "--problem", str(path), "--c0", "1", "--z", "0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("accuracy error: the series at z = 0.5 leaves the float range "
+                            "(integer division result too large for a float)\n")
+
+
 def test_eval_checks_every_point_before_printing(capsys):
     bessel = str(ROOT / "demos" / "problems" / "bessel.json")
     assert main(["eval", "--problem", bessel, "--c0", "1",
@@ -576,6 +605,8 @@ def test_contour_whose_gamma_underflows_exits_three(capsys):
     assert captured.out == ""
     assert captured.err.startswith("accuracy error: the integrand of BesselRegular")
     assert "underflows a float" in captured.err
+    assert captured.err.startswith("accuracy error: the integrand of BesselRegular at "
+                                   "s = (0.5-500j) underflows a float (")
 
 
 def test_contour_bad_spec_exits_two(capsys):

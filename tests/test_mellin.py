@@ -241,6 +241,18 @@ def test_division_by_a_gamma_that_underflows_is_an_accuracy_error():
             mellin_integrand(family, s, 0.5)
 
 
+def test_refusal_caused_by_a_gamma_underflow_says_underflows():
+    # the wrappers said "overflows" whatever the cause
+    family = catalog_family("BesselRegular", nu=Fr(1, 3))
+    with pytest.raises(AccuracyError, match=r"^A\^\(-29\.05.* of BesselRegular underflows "
+                                            r"a float \(Gamma"):
+        fractional_power_coeff(family, complex(-29.054902882142933, -399.91802575226956))
+    with pytest.raises(AccuracyError, match=r"^the integrand of BesselRegular at "
+                                            r"s = \(0\.5-500j\) underflows a float \(") as exc:
+        mellin_integrand(family, 0.5 - 500j, 0.5)
+    assert isinstance(exc.value.__cause__.__cause__, ZeroDivisionError)
+
+
 # ---------------------------------------------------------------- families
 
 def test_family_validation():
@@ -1211,7 +1223,7 @@ TAG_DISPATCH = {
         "catalog_family", "_hyp_params", "_family_problem", "_term_ratio",
         "family_target_factor", "integer_powers", "fractional_power_coeff",
         "mellin_integrand")
-} | {("cli", "_family_solver_series")}
+}
 TAG_TABLES = {("mellin", "_FAMILY_PARAMS"), ("cli", "_FAMILY_CLI")}
 
 

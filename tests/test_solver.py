@@ -37,7 +37,7 @@ from regsing.logseries import (
     shift_exponent,
     truncate,
 )
-from regsing.operators import SingularTerm, apply_A
+from regsing.operators import SingularTerm, apply_A, make_f0
 from regsing.problem import (
     ComplexRootsUnsupported,
     OdeProblem,
@@ -858,6 +858,107 @@ def test_float_solve_beyond_the_float_range_is_an_accuracy_error():
     prob = OdeProblem("two_point", {-1: 1.0}, {-2: -1 / 9, 0: 1e150}, series_cutoff=12)
     with pytest.raises(AccuracyError, match=r"f\[6, 0\] = -inf"):
         solve(prob, 1, 1.0, 0.0)
+
+
+def test_resolvent_beyond_the_float_range_is_an_accuracy_error():
+    # the resolvent that solve runs refuses where solve does: it returned
+    # +-inf in rows 6 to 12
+    prob = OdeProblem("two_point", {-1: 1.0}, {-2: -1 / 9, 0: 1e150}, series_cutoff=12)
+    spec = transform(prob, 1)
+    with pytest.raises(AccuracyError, match=r"f\[6, 0\] = -inf: the float solve left"):
+        neumann_apply_resolvent(spec, make_f0(spec, 1.0, 0.0, 12), 12)
+
+
+def test_evaluation_beyond_the_float_range_is_an_accuracy_error():
+    prob = OdeProblem("two_point", {-1: 1}, {-2: Fr(-1, 9), 0: 10**150}, series_cutoff=4)
+    psi = solve(prob, 1, 1, 0).psi
+    # the sum leaves the float range (it returned inf)
+    with pytest.raises(AccuracyError, match="does not sum to a finite float: inf"):
+        evaluate(psi, 1e5)
+    # an exact coefficient does not fit a float (a bare OverflowError)
+    prob = replace(prob, q_coeffs={-2: Fr(-1, 9), 0: 10**160}, series_cutoff=12)
+    with pytest.raises(AccuracyError, match="leaves the float range") as exc:
+        evaluate(solve(prob, 1, 1, 0).psi, 0.5)
+    assert isinstance(exc.value.__cause__, OverflowError)
+
+
+# float twins of exact double roots l: 10 of them had a float discriminant
+# below zero (-3.55e-15 at l = -9/5) and raised ComplexRootsUnsupported
+DOUBLE_ROOTS = [Fr(n, d) for d in (2, 3, 5, 7) for n in range(-12, 13)]
+
+
+@pytest.mark.parametrize("l", DOUBLE_ROOTS, ids=str)
+def test_float_twin_of_a_double_root_is_a_double_root(l):
+    exact = OdeProblem("two_point", {-1: 1 - 2 * l}, {-2: l * l, 0: 1})
+    twin = _to_float_problem(exact)
+    idx = indicial(twin)
+    assert idx.double_root and idx.lam1 == idx.lam2 == pytest.approx(float(l), abs=1e-15)
+    want, got = solve(exact, 1, 1, 0), solve(twin, 1, 1.0, 0.0)
+    assert got.f.coeffs.keys() == want.f.coeffs.keys()
+    for key, c in want.f.coeffs.items():
+        assert got.f.coeffs[key] == pytest.approx(float(c), rel=1e-12, abs=1e-12), key
+
+
+# every error a float solve and its parts document
+FLOAT_REFUSALS = (ComplexRootsUnsupported, NonIntegerExponentGap, SingularTerm,
+                  IndexMismatch, AccuracyError)
+
+
+def _finite_or_exact(series):
+    return all(isinstance(c, (Fr, int)) or math.isfinite(c)
+               for c in (series.sigma, *series.coeffs.values()))
+
+
+@st.composite
+def huge_float_twins(draw):
+    """Float twins of exact problems whose coefficients reach 1e200: half
+    with free p_{-1} and q_{-2}, half built from two indicial roots, and
+    each with up to three more terms in p and in q."""
+    def big(e):
+        return Fr(draw(st.integers(-9, 9)), draw(st.integers(1, 9))) * Fr(10) ** draw(
+            st.integers(-e, e))
+
+    if draw(st.booleans()):
+        p, q = {-1: big(200)}, {-2: big(200)}
+    else:
+        l1, l2 = big(100), big(100)
+        p, q = {-1: 1 - (l1 + l2)}, {-2: l1 * l2}
+    for _ in range(draw(st.integers(0, 3))):
+        p[draw(st.integers(0, 3))] = big(200)
+    for _ in range(draw(st.integers(0, 3))):
+        q[draw(st.integers(-1, 2))] = big(200)
+    kind = draw(st.sampled_from(("two_point", "three_point")))
+    return _to_float_problem(OdeProblem(kind, p, q, series_cutoff=draw(st.integers(4, 30))))
+
+
+@given(huge_float_twins(), st.sampled_from((1, 2)), st.sampled_from(((1.0, 0.0), (0.0, 1.0))),
+       st.floats(1e-6, 1e6), st.lists(st.floats(-1e200, 1e200), min_size=31, max_size=31))
+@settings(max_examples=150, deadline=None)
+# lambda p_0 and the discriminant leave the float range
+@example(OdeProblem("two_point", {-1: 1e150, 0: 1e200}, {-2: 1.0}, series_cutoff=4), 2,
+         (1.0, 0.0), 0.5, [1.0] * 31)
+@example(OdeProblem("two_point", {-1: 1e200}, {-2: 1.0}, series_cutoff=4), 2,
+         (1.0, 0.0), 0.5, [1.0] * 31)
+def test_float_solves_return_finite_floats_or_refuse(problem, root, seed, z, coeffs):
+    # never inf or nan, and never a bare OverflowError
+    n = problem.series_cutoff
+    try:
+        sol = solve(problem, root, *seed)
+        assert math.isfinite(sol.lam) and _finite_or_exact(sol.f) and _finite_or_exact(sol.psi)
+        assert math.isfinite(evaluate(sol.psi, z))
+    except FLOAT_REFUSALS:
+        pass
+    try:
+        spec = transform(problem, root)
+    except FLOAT_REFUSALS:
+        return
+    f = LogSeries(0, n, {(m, 0): c for m, c in enumerate(coeffs[:n + 1])})
+    for run in (lambda: neumann_apply_resolvent(spec, f, n),
+                lambda: apply_A(spec, f), lambda: regsing.operators.apply_L(spec, f)):
+        try:
+            assert _finite_or_exact(run())
+        except FLOAT_REFUSALS:
+            pass
 
 
 # exact problems whose smaller root sits an integer below the larger one and
