@@ -3,8 +3,8 @@ run contour quadrature diagnostics, and compare solver output against the
 classical-series oracles.
 
 Exit codes: 0 success, 1 parse/schema errors, 2 solve-domain errors,
-3 accuracy errors (quadrature tails, tolerance violations, solves, sums
-and residues that do not fit a float).
+3 accuracy errors (quadrature tails, tolerance violations, and problem
+coefficients, solves, sums and residues that do not fit a float).
 """
 
 from __future__ import annotations
@@ -168,14 +168,26 @@ def dump_problem(problem: OdeProblem, path) -> None:
 
 # ----------------------------------------------------------------- helpers
 
+def _to_float(value, name: str) -> float:
+    """value rounded to a float; AccuracyError, chained from the
+    OverflowError, where it leaves the float range."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise AccuracyError(f"{name} leaves the float range ({exc})") from exc
+
+
 def _to_float_problem(problem: OdeProblem) -> OdeProblem:
+    """The problem with every coefficient rounded to a float, refused with
+    AccuracyError where one leaves the float range."""
     rhs = problem.rhs
     if rhs is not None:
-        rhs = LogSeries(float(rhs.sigma), rhs.order,
-                        {mk: float(c) for mk, c in rhs.coeffs.items()})
+        rhs = LogSeries(_to_float(rhs.sigma, "the rhs exponent"), rhs.order,
+                        {(m, k): _to_float(c, f"rhs[{m}, {k}]")
+                         for (m, k), c in rhs.coeffs.items()})
     return OdeProblem(problem.kind,
-                      {i: float(v) for i, v in problem.p_coeffs.items()},
-                      {i: float(v) for i, v in problem.q_coeffs.items()},
+                      {i: _to_float(v, f"p_{i}") for i, v in problem.p_coeffs.items()},
+                      {i: _to_float(v, f"q_{i}") for i, v in problem.q_coeffs.items()},
                       rhs=rhs, series_cutoff=problem.series_cutoff)
 
 
@@ -278,7 +290,7 @@ def _solve_in(mode: str, problem: OdeProblem, args):
     c0, c1 = args.c0, args.c1
     if mode == "float":
         problem = _to_float_problem(problem)
-        c0, c1 = float(c0), float(c1)
+        c0, c1 = _to_float(c0, "c0"), _to_float(c1, "c1")
     return solve(problem, args.root, c0, c1, order=args.order)
 
 

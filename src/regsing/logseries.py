@@ -24,7 +24,6 @@ arithmetic for exact and float series alike.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .scalars import Scalar, as_int, mode as scalar_mode
 
@@ -192,16 +191,20 @@ def differentiate(f: LogSeries) -> LogSeries:
 # Euler-type differential operator and under integration are small rationals
 # built from s and k alone.  They are computed here in plain integers, with
 # s = sq/q for a fixed denominator q and a log vector held as numerators over
-# one common denominator, so no gcd is taken until the caller scales each
-# term by w/d on reduced pairs (operators._sum_images).
+# one common denominator, so no gcd is taken until each output term's scale
+# w/d is reduced once (operators._kernel), or, in the residual, until each
+# sum is divided by its one denominator (solver._substitute_exact).
 
 def integer_slots(slots) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
     """(den, slots) with every (o, a2, a1, a0) of the slots scaled to
-    integers over one common denominator den; a float is read as the dyadic
-    rational it is."""
-    den = math.lcm(*(Fraction(a).denominator for slot in slots for a in slot[1:]))
-    return den, tuple((o, *(int(Fraction(a) * den) for a in coeffs))
-                      for o, *coeffs in slots)
+    integers over one common denominator den, the lcm of their own: each
+    value is read once as the pair as_integer_ratio() gives, so a float is
+    the dyadic rational it is, and scaled by integer division, with no
+    Fraction built.  An infinite float raises OverflowError and a nan
+    ValueError, as Fraction(a) does."""
+    pairs = [(o, [a.as_integer_ratio() for a in coeffs]) for o, *coeffs in slots]
+    den = math.lcm(*(d for _o, row in pairs for _n, d in row))
+    return den, tuple((o, *(n * (den // d) for n, d in row)) for o, row in pairs)
 
 
 def euler_image(sq: int, q: int, k: int, a2: int, a1: int, a0: int) -> list[int]:

@@ -34,12 +34,16 @@ logs and no resonance this is
 L itself is the same kernel with the single slot (1, 0, 0, 1), whose
 integrand is f, at z^s.  Every factor is a small rational built from s, k,
 alpha and the slots.  The kernel evaluates these images in plain integers,
-as a numerator w and a denominator d per output term, and the caller
-multiplies each scale w/d by the (large) input coefficient once, so no
-intermediate series is built.  It does so in one arithmetic for both
-modes, int pairs kept in lowest terms with a positive denominator
-(scalars.ratio, pair_mul, pair_add): a float is a dyadic rational, so
-sigma, alpha, the slots and the input coefficients are all read exactly.
+as one reduced scale pair (w, d) per output term (scalars.ratio, the one
+place it reduces them), and the caller multiplies each scale by the
+(large) input coefficient once, so no intermediate series is built.  At
+k = 0 off both resonances, the common case, the kernel emits the closed
+form above, one term per slot; a log power or a resonance takes the
+general path of the log vector and its two integrations.  It does so in
+one arithmetic for both modes, int pairs kept in lowest terms with a
+positive denominator (scalars.ratio, pair_mul, pair_add): a float is a
+dyadic rational, so sigma, alpha, the slots and the input coefficients
+are all read exactly.
 Each output coefficient is rounded once, to a Fraction handed its pair as
 it is, without a second gcd (scalars.pair_fraction), when the spec, the
 base and every input are exact, and to the nearest float (pair_float)
@@ -128,11 +132,12 @@ def _image(spec: OperatorSpec, f: LogSeries, integer_slots, lift: int) -> LogSer
 
 def _sum_images(image, terms) -> dict:
     """sum over terms ((m, k), c) of c times image(m, k), per output key,
-    with c and every sum a reduced pair; the sums that vanish are dropped."""
+    with c, every scale and every sum a reduced pair; the sums that vanish
+    are dropped."""
     out = {}
     for (m, k), c in terms:
-        for key, w, d in image(m, k):
-            t = pair_mul(c, ratio(w, d))
+        for key, scale in image(m, k):
+            t = pair_mul(c, scale)
             there = out.get(key)
             out[key] = t if there is None else pair_add(there, t)
     return {key: v for key, v in out.items() if v[0]}
@@ -140,12 +145,20 @@ def _sum_images(image, terms) -> dict:
 
 def _kernel(spec: OperatorSpec, sigma: Scalar, order: int, integer_slots, lift: int):
     """The image under L of the slots, per monomial z^s log^k z, s = sigma + m:
-    image(m, k) lists ((m + i, j), w, d) for the terms (w/d) z^{s+1+lift+i}
+    image(m, k) lists ((m + i, j), (w, d)) for the terms (w/d) z^{s+1+lift+i}
     log^j z of each slot i whose integrand sits at z^{s-1+lift+i}, rows above
-    `order` dropped.  w and d are ints, w != 0, not reduced, d of either
-    sign; the caller scales by them on reduced pairs (_sum_images).  Unless
-    the spec and sigma are exact, each branch is decided on the float
-    exponent p of its integrand (_float_branch)."""
+    `order` dropped.  Each scale (w, d) is a reduced pair, w != 0, that the
+    caller multiplies into reduced pairs (_sum_images).  At k = 0, off both
+    resonances, a slot's image is the closed form of the module docstring,
+    one term
+
+        ((m + i, 0), e / (den pq1 pq2)),   e = (a2 (sq - q) + a1 q) sq + a0 q^2,
+
+    the numerator of euler_image over q^2, with p + 1 = pq1/q and pq2/q at
+    the two integrations; a log power or a resonance takes the general path
+    (euler_image, then integrate_log_vector twice).  Unless the spec and
+    sigma are exact, each branch is decided on the float exponent p of its
+    integrand first (_float_branch)."""
     den, slots = integer_slots
     exact = spec.mode == "exact" and is_exact(sigma)
     alpha = spec.alpha
@@ -157,27 +170,36 @@ def _kernel(spec: OperatorSpec, sigma: Scalar, order: int, integer_slots, lift: 
     sq0 = sigma.numerator * (q // sigma.denominator)
     aq = alpha.numerator * (q // alpha.denominator)
 
-    def image(m: int, k: int) -> list[tuple[tuple[int, int], int, int]]:
+    def image(m: int, k: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         sq = sq0 + m * q
         terms = []
         for o, a2, a1, a0 in slots:
             i = o - 1
             if m + i > order:
                 break
-            v = euler_image(sq, q, k, a2, a1, a0)
-            if not any(v):                       # no term, so no branch to decide
-                continue
+            if k:
+                v = euler_image(sq, q, k, a2, a1, a0)
+                if not any(v):                   # no term, so no branch to decide
+                    continue
+            else:
+                e = (a2 * (sq - q) + a1 * q) * sq + a0 * q * q   # euler_image at k = 0
+                if not e:
+                    continue
+                v = [e]
             pq1 = sq + (lift + i) * q + aq       # p + 1 = s + lift + i + alpha
             pq2 = sq + (lift + i + 1) * q        # p + 1 = s + lift + i + 1
             if not exact:
                 pq1 = _float_branch(lead + (m + i), pq1)
                 pq2 = _float_branch(mid + (m + i), pq2)
+            if not k and pq1 and pq2:
+                terms.append(((m + i, 0), ratio(e, den * pq1 * pq2)))
+                continue
             v, d1 = integrate_log_vector(v, pq1, q)
             v, d2 = integrate_log_vector(v, pq2, q)
             d = den * q * q * d1 * d2
             for j, w in enumerate(v):
                 if w:
-                    terms.append(((m + i, j), w, d))
+                    terms.append(((m + i, j), ratio(w, d)))
         return terms
 
     return image

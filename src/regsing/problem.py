@@ -142,7 +142,8 @@ def indicial(problem: OdeProblem) -> IndexData:
     p_{-1} and q_{-2}, each itself a correctly rounded value: so the float
     twin of an exact double root is a double root, not a complex pair or
     two roots about sqrt(eps) apart.  A float discriminant beyond the float
-    range raises AccuracyError.
+    range raises AccuracyError, and so do irrational roots of an exact
+    problem beyond it, chained from the OverflowError of rounding them.
     """
     p1 = problem.p(-1)
     q2 = problem.q(-2)
@@ -158,11 +159,15 @@ def indicial(problem: OdeProblem) -> IndexData:
         raise ComplexRootsUnsupported(
             f"indicial discriminant {disc} < 0: complex exponents unsupported")
     root = _exact_sqrt(disc) if is_exact(disc) else None
-    if root is None:
-        root = math.sqrt(disc)
-    half = Fraction(1, 2) if is_exact(b) and is_exact(root) else 0.5
-    lam1 = (-b + root) * half
-    lam2 = (-b - root) * half
+    half = Fraction(1, 2) if is_exact(b) and root is not None else 0.5
+    try:
+        if root is None:
+            root = math.sqrt(disc)
+        lam1 = (-b + root) * half
+        lam2 = (-b - root) * half
+    except OverflowError as exc:
+        raise AccuracyError(f"the irrational indicial roots leave the float range "
+                            f"({exc})") from exc
     delta = lam1 - lam2
     return IndexData(
         lam1=lam1,

@@ -25,9 +25,10 @@ cancel (_forward_substitute).
 The residual check substitutes psi = z^lambda f back into the original
 equation, read from the slots of its normal form (OdeProblem.slots) and
 divided by z^w.  Each monomial c z^s log^k z of psi meets each slot in
-closed form (logseries.euler_image, small integers) and c is multiplied
-by each output term's scale w/d once, so R is accumulated term by term
-without building psi', psi'' or any product series.  The resolvent and the
+closed form (logseries.euler_image, small integers): numerators w over
+one denominator d for the whole solve.  The products c w are summed per
+output key and each sum is divided by d once, so R is accumulated term by
+term without building psi', psi'' or any product series.  The resolvent and the
 residual alike do this arithmetic on (numerator, denominator) int pairs
 kept in lowest terms with a positive denominator, in both modes: a float
 lambda, float slots and float coefficients are dyadic rationals, read
@@ -79,7 +80,6 @@ from .scalars import (
     pair_float,
     pair_fraction,
     pair_mul,
-    ratio,
 )
 
 
@@ -171,11 +171,11 @@ def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[L
             if live:
                 coeffs[(m, k)] = final(c) if seed is None else seed
             # a zero value with a share passes the share on, and adds no value
-            for (mi, ki), w, d in image(m, k):
+            for (mi, ki), (w, d) in image(m, k):
                 target = mi + 1
                 if target > n:
                     continue
-                t = ratio(-w, d)
+                t = (-w, d)
                 ci = pair_mul(c, t)      # -c w/d
                 there = rows[target].get(ki)
                 if there is None:
@@ -294,31 +294,34 @@ def residual(problem: OdeProblem, sol: Solution) -> Scalar | None:
 
 def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
     """The left-hand side of the equation at the truncated psi (the normal
-    form divided by z^w): each monomial c z^s log^k z of psi meets every
-    slot in small integers (euler_image), then is scaled by w/d once per
-    output term.  A float is a dyadic rational, so a float lambda, slot or
-    coefficient is read exactly; the terms are summed per key as reduced
-    int pairs (operators._sum_images), and each nonzero sum is rounded once,
-    to a Fraction when the solution's mode is exact and to a float
-    otherwise."""
+    form divided by z^w): each monomial c z^s log^k z of psi, s = sq/q,
+    meets every slot in small integers, the numerators w over the one
+    denominator d = den q^2 of the solve (euler_image; at k = 0 its one
+    term in closed form).  A float is a dyadic rational, so a float lambda,
+    slot or coefficient is read exactly; c times w is summed per key as
+    reduced int pairs (operators._sum_images), each nonzero sum is divided
+    by d once, and then rounded once, to a Fraction when the solution's
+    mode is exact and to a float otherwise."""
     den, slots = integer_slots(problem.slots)
-    f = sol.f
-    # above every row psi reaches (m <= f.order, and transform caps the
+    psi = sol.psi
+    # above every row psi reaches (m <= psi.order, and transform caps the
     # highest slot at N + 1), so no product term is clipped
-    horizon = f.order + problem.series_cutoff + 3
-    base = Fraction(f.sigma + sol.lam)               # psi's base, s = sq/q
-    q = base.denominator
-    d = den * q * q
+    horizon = psi.order + problem.series_cutoff + 3
+    bq, q = psi.sigma.as_integer_ratio()            # psi's base, s = sq/q
+    per_d = (1, den * q * q)
 
-    def image(m: int, k: int) -> list[tuple[tuple[int, int], int, int]]:
-        sq = base.numerator + m * q
-        return [((m + o, j), w, d) for o, a2, a1, a0 in slots if m + o <= horizon
+    def image(m: int, k: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        sq = bq + m * q
+        if not k:
+            return [((m + o, 0), (e, 1)) for o, a2, a1, a0 in slots if m + o <= horizon
+                    and (e := (a2 * (sq - q) + a1 * q) * sq + a0 * q * q)]
+        return [((m + o, j), (w, 1)) for o, a2, a1, a0 in slots if m + o <= horizon
                 for j, w in enumerate(euler_image(sq, q, k, a2, a1, a0)) if w]
 
-    out = _sum_images(image, ((key, c.as_integer_ratio()) for key, c in f.coeffs.items()))
+    out = _sum_images(image, ((key, c.as_integer_ratio()) for key, c in psi.coeffs.items()))
     final = pair_fraction if sol.mode == "exact" else pair_float
-    return LogSeries(base - problem.weight, horizon,
-                     {key: final(v) for key, v in out.items()})
+    return LogSeries(pair_fraction((bq - problem.weight * q, q)), horizon,
+                     {key: final(pair_mul(v, per_d)) for key, v in out.items()})
 
 
 def solve_log_second(problem: OdeProblem, n: int, order: int | None = None) -> Solution:

@@ -387,6 +387,36 @@ def test_eval_of_an_exact_coefficient_beyond_the_float_range_exits_three(tmp_pat
                             "(integer division result too large for a float)\n")
 
 
+def test_solve_whose_irrational_roots_leave_the_float_range_exits_three(tmp_path, capsys):
+    # the indicial roots are irrational and about -1e200: rounding them was
+    # a bare OverflowError, printed as a solve error with exit 2
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(BESSEL_DOC, p={"-1": "1" + "0" * 200}, q={"-2": "3"})))
+    assert main(["solve", "--problem", str(path), "--c0", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("accuracy error: the irrational indicial roots leave the float "
+                            "range (integer division result too large for a float)\n")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_eval_of_a_problem_coefficient_beyond_the_float_range_exits_three(tmp_path, capsys,
+                                                                           mode):
+    # float mode rounds q_0 = 10^400 before it solves: a bare OverflowError
+    # there exited 2, where the exact solve's sum already exited 3
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(BESSEL_DOC, q={"-2": "-1/9", "0": "1" + "0" * 400},
+                                    series_cutoff=4)))
+    assert main(["eval", "--problem", str(path), "--mode", mode, "--c0", "1",
+                 "--z", "0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "(integer division result too large for a float)\n"
+    assert captured.err == ("accuracy error: " + {
+        "exact": "the series at z = 0.5 leaves the float range ",
+        "float": "q_0 leaves the float range "}[mode] + reason)
+
+
 def test_eval_checks_every_point_before_printing(capsys):
     bessel = str(ROOT / "demos" / "problems" / "bessel.json")
     assert main(["eval", "--problem", bessel, "--c0", "1",

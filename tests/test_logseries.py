@@ -6,7 +6,7 @@ from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import regsing.scalars
@@ -16,6 +16,7 @@ from regsing.logseries import (
     NonIntegerExponentGap,
     differentiate,
     evaluate,
+    integer_slots,
     linear_combine,
     shift_exponent,
     truncate,
@@ -111,6 +112,42 @@ def test_src_uses_no_private_fractions_api():
             if name in _PRIVATE_FRACTION_API:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+# ----------------------------------------------------------- integer_slots
+
+def _integer_slots_oracle(slots):
+    """integer_slots as built from Fractions: each value as Fraction(a),
+    scaled to an int by Fraction multiplication."""
+    den = math.lcm(*(Fr(a).denominator for slot in slots for a in slot[1:]))
+    return den, tuple((o, *(int(Fr(a) * den) for a in coeffs)) for o, *coeffs in slots)
+
+
+def _outcome(fn, slots):
+    try:
+        return fn(slots)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+slot_values = st.one_of(st.integers(-10**30, 10**30), st.fractions(), st.floats(),
+                        st.sampled_from((5e-324, -5e-324, 1.7e308, -1.7e308, 0.0, -0.0)))
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), slot_values, slot_values, slot_values),
+                max_size=4))
+@settings(max_examples=300, deadline=None)
+@example([(1, 5e-324, 1.7e308, Fr(1, 3))])
+@example([(1, 1, math.inf, 0)])
+@example([(2, Fr(1, 2), -math.inf, 0)])
+@example([(1, math.nan, 1, 0)])
+def test_integer_slots_is_the_fraction_oracle(slots):
+    # the same den and ints as the Fraction route, and on inf and nan the
+    # same exception type (OverflowError, ValueError)
+    got = _outcome(integer_slots, slots)
+    assert got == _outcome(_integer_slots_oracle, slots)
+    if not isinstance(got, type):
+        assert all(type(a) is int for _o, *row in got[1] for a in row)
 
 
 # ---------------------------------------------------------- linear_combine

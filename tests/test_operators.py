@@ -13,13 +13,23 @@ from regsing.logseries import (
     LogSeries,
     NonIntegerExponentGap,
     differentiate,
+    euler_image,
+    integrate_log_vector,
     linear_combine,
     shift_exponent,
     weighted_norm_estimate,
 )
-from regsing.operators import SingularTerm, apply_A, apply_L, make_f0
+from regsing.operators import (
+    _L_SLOTS,
+    SingularTerm,
+    _float_branch,
+    _kernel,
+    apply_A,
+    apply_L,
+    make_f0,
+)
 from regsing.problem import OdeProblem, OperatorSpec, transform
-from regsing.scalars import Scalar
+from regsing.scalars import Scalar, is_exact, ratio
 
 from test_problem import bessel_problem, confluent_problem, dense_cd, gauss_problem
 
@@ -495,6 +505,82 @@ def test_A_float_resonance_at_each_integration():
     for s in (-2.5 + 1e-14, -1.0 + 1e-14):
         with pytest.raises(SingularTerm):
             apply_A(spec, mono(1.0, s))
+
+
+# ------------------------------ the kernel's closed form vs its general path
+
+def _general_image(spec, sigma, order, integer_slots, lift):
+    """Oracle of operators._kernel: every monomial through the general path,
+    the log vector of euler_image and its two integrations
+    (integrate_log_vector), each branch decided by _float_branch first
+    where the spec or sigma is a float, and one ratio per output term."""
+    den, slots = integer_slots
+    exact = spec.mode == "exact" and is_exact(sigma)
+    alpha = spec.alpha
+    if not exact:
+        lead = (sigma + (lift - 1)) + alpha
+        mid = lead + 1 - alpha
+        sigma, alpha = Fr(sigma), Fr(alpha)
+    q = math.lcm(sigma.denominator, alpha.denominator)
+    sq0 = sigma.numerator * (q // sigma.denominator)
+    aq = alpha.numerator * (q // alpha.denominator)
+
+    def image(m, k):
+        sq = sq0 + m * q
+        terms = []
+        for o, a2, a1, a0 in slots:
+            i = o - 1
+            if m + i > order:
+                break
+            v = euler_image(sq, q, k, a2, a1, a0)
+            if not any(v):
+                continue
+            pq1 = sq + (lift + i) * q + aq
+            pq2 = sq + (lift + i + 1) * q
+            if not exact:
+                pq1 = _float_branch(lead + (m + i), pq1)
+                pq2 = _float_branch(mid + (m + i), pq2)
+            v, d1 = integrate_log_vector(v, pq1, q)
+            v, d2 = integrate_log_vector(v, pq2, q)
+            terms += [((m + i, j), ratio(w, den * q * q * d1 * d2))
+                      for j, w in enumerate(v) if w]
+        return terms
+
+    return image
+
+
+def _terms_or_refusal(image, m, k):
+    try:
+        return image(m, k)
+    except SingularTerm:
+        return SingularTerm
+
+
+@st.composite
+def kernel_cases(draw):
+    """(spec, sigma): exact specs with integer and non-integer gaps, alpha = 1
+    among them, or their float twins, and a base exponent on one of L's
+    resonances, or for a float spec at or within 1e-12 of one."""
+    spec = draw(st.one_of(exact_specs(), exact_specs(wide), st.just(plain_spec(Fr(1)))))
+    sigma = draw(resonant_exponent(spec))
+    if draw(st.booleans()):
+        spec = float_spec(spec)
+        sigma = float(sigma) + draw(st.sampled_from((0.0, 0.0, 1e-13, -1e-13, 5e-13)))
+    return spec, sigma
+
+
+@given(kernel_cases(), st.sampled_from((0, 1)))
+@settings(max_examples=300, deadline=None)
+def test_kernel_closed_form_is_the_general_path(case, lift):
+    # at k = 0 the kernel takes the closed form off both resonances; every
+    # term must be the general path's reduced pair, and SingularTerm must be
+    # raised where the general path raises it
+    spec, sigma = case
+    slots = _L_SLOTS if lift else spec.integer_slots
+    got, want = (image(spec, sigma, 6, slots, lift) for image in (_kernel, _general_image))
+    for m in range(7):
+        for k in (0, 1, 2):
+            assert _terms_or_refusal(got, m, k) == _terms_or_refusal(want, m, k)
 
 
 def test_A_float_scale_beyond_the_float_range_is_an_accuracy_error():

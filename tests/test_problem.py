@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import regsing
 from regsing.cli import _to_float_problem
+from regsing.logseries import AccuracyError
 from regsing.problem import (
     ComplexRootsUnsupported,
     OdeProblem,
@@ -70,6 +71,19 @@ def test_irrational_discriminant_downgrades():
     # both roots still satisfy the indicial polynomial to float accuracy
     for lam in (idx.lam1, idx.lam2):
         assert abs(lam * lam - lam - Fr(1, 3)) < 1e-14
+
+
+@pytest.mark.parametrize("p1, q2", [
+    (Fr(10**200), 3),                                   # the square root overflows
+    (Fr(10**400 + 1), Fr(10**800 - 5, 4)),              # the root fits, -b does not
+])
+def test_irrational_roots_beyond_the_float_range_are_an_accuracy_error(p1, q2):
+    # the exact discriminant is no rational square, and rounding its root
+    # or the roots was a bare OverflowError
+    with pytest.raises(AccuracyError, match="the irrational indicial roots leave the "
+                                            "float range") as info:
+        indicial(OdeProblem("two_point", {-1: p1}, {-2: q2}))
+    assert isinstance(info.value.__cause__, OverflowError)
 
 
 def test_complex_roots_rejected():

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as Fr
 from pathlib import Path
@@ -13,7 +14,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import regsing.catalog
+import regsing.logseries
 import regsing.operators
+import regsing.scalars
 import regsing.solver
 from regsing.catalog import (
     bessel_j_series,
@@ -386,6 +389,54 @@ def test_exact_solve_builds_no_series_per_coefficient(monkeypatch):
         return sorted(calls)
 
     assert count(12) == count(400)
+
+
+def _fraction_calls(run):
+    """(handed, other) during run(): the Fraction constructor calls made by
+    scalars.pair_fraction, and every other call of the constructor or of
+    Fraction arithmetic, while the resolvent (_forward_substitute), the
+    residual (_substitute_exact) or logseries.integer_slots is running."""
+    targets = {regsing.solver._forward_substitute.__code__,
+               regsing.solver._substitute_exact.__code__,
+               regsing.logseries.integer_slots.__code__}
+    # __add__ and __mul__ share one code object, as __radd__ and __rmul__ do
+    watched = {Fr.__new__.__code__, Fr.__add__.__code__, Fr.__mul__.__code__,
+               Fr.__radd__.__code__, Fr.__rmul__.__code__}
+    handover = regsing.scalars.pair_fraction.__code__
+    depth, handed, other = 0, 0, 0
+
+    def profile(frame, event, _arg):
+        nonlocal depth, handed, other
+        code = frame.f_code
+        if code in targets and event in ("call", "return"):
+            depth += 1 if event == "call" else -1
+        elif depth and event == "call" and code in watched:
+            if code is Fr.__new__.__code__ and frame.f_back.f_code is handover:
+                handed += 1
+            else:
+                other += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return handed, other
+
+
+@given(st.one_of(random_problems(), random_problems(dens=(49, 720, 1024, 15015))),
+       st.sampled_from((1, 2)))
+@settings(max_examples=25, deadline=None)
+def test_exact_solve_builds_one_fraction_per_stored_coefficient(problem, root):
+    # tooling guard, no timing: the resolvent, the residual and the slots
+    # they read work on int pairs, so the only Fractions they build are the
+    # rounded coefficients they store, one pair_fraction each, and the
+    # residual's base exponent; no Fraction is added or multiplied
+    solved = []
+    handed, other = _fraction_calls(lambda: solved.append(solve(problem, root, 1, 0)))
+    sol = solved[0]
+    assert other == 0
+    assert 0 < handed <= len(sol.f.coeffs) + len(_substitute_exact(problem, sol).coeffs) + 1
 
 
 # ------------------------------------------------------------ regular solves
