@@ -4,7 +4,7 @@ classical-series oracles.
 
 Exit codes: 0 success, 1 parse/schema errors, 2 solve-domain errors,
 3 accuracy errors (quadrature tails, tolerance violations, and problem
-coefficients, solves, sums and residues that do not fit a float).
+coefficients, seeds, solves, sums and residues that do not fit a float).
 """
 
 from __future__ import annotations

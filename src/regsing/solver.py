@@ -296,12 +296,11 @@ def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
     """The left-hand side of the equation at the truncated psi (the normal
     form divided by z^w): each monomial c z^s log^k z of psi, s = sq/q,
     meets every slot in small integers, the numerators w over the one
-    denominator d = den q^2 of the solve (euler_image; at k = 0 its one
-    term in closed form).  A float is a dyadic rational, so a float lambda,
-    slot or coefficient is read exactly; c times w is summed per key as
-    reduced int pairs (operators._sum_images), each nonzero sum is divided
-    by d once, and then rounded once, to a Fraction when the solution's
-    mode is exact and to a float otherwise."""
+    denominator d = den q^2 of the solve (euler_image).  A float is a
+    dyadic rational, so a float lambda, slot or coefficient is read exactly;
+    c times w is summed per key as reduced int pairs (operators._sum_images),
+    each nonzero sum is divided by d once, and then rounded once, to a
+    Fraction when the solution's mode is exact and to a float otherwise."""
     den, slots = integer_slots(problem.slots)
     psi = sol.psi
     # above every row psi reaches (m <= psi.order, and transform caps the
@@ -312,9 +311,6 @@ def _substitute_exact(problem: OdeProblem, sol: Solution) -> LogSeries:
 
     def image(m: int, k: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         sq = bq + m * q
-        if not k:
-            return [((m + o, 0), (e, 1)) for o, a2, a1, a0 in slots if m + o <= horizon
-                    and (e := (a2 * (sq - q) + a1 * q) * sq + a0 * q * q)]
         return [((m + o, j), (w, 1)) for o, a2, a1, a0 in slots if m + o <= horizon
                 for j, w in enumerate(euler_image(sq, q, k, a2, a1, a0)) if w]
 

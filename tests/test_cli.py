@@ -417,6 +417,17 @@ def test_eval_of_a_problem_coefficient_beyond_the_float_range_exits_three(tmp_pa
         "float": "q_0 leaves the float range "}[mode] + reason)
 
 
+def test_float_eval_of_a_seed_beyond_the_float_range_exits_three(capsys):
+    # float mode rounds the seeds too: a bare OverflowError there exited 2
+    bessel = str(ROOT / "demos" / "problems" / "bessel.json")
+    assert main(["eval", "--problem", bessel, "--mode", "float", "--c0", "1" + "0" * 400,
+                 "--z", "0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("accuracy error: c0 leaves the float range "
+                            "(integer division result too large for a float)\n")
+
+
 def test_eval_checks_every_point_before_printing(capsys):
     bessel = str(ROOT / "demos" / "problems" / "bessel.json")
     assert main(["eval", "--problem", bessel, "--c0", "1",
