@@ -103,9 +103,9 @@ def _rhs_series(doc, order: int) -> LogSeries:
         sigma = _scalar(entry.get("sigma", 0), f"{where}.sigma")
         power = entry.get("power", 0)
         log_power = entry.get("log_power", 0)
-        if not isinstance(power, int) or power < 0:
+        if type(power) is not int or power < 0:
             raise SchemaError(f"{where}.power must be an integer >= 0")
-        if not isinstance(log_power, int) or log_power < 0:
+        if type(log_power) is not int or log_power < 0:
             raise SchemaError(f"{where}.log_power must be an integer >= 0")
         if "coeff" not in entry:
             raise SchemaError(f"{where}: missing required key 'coeff'")
@@ -137,7 +137,8 @@ def parse_problem(path) -> OdeProblem:
     if "kind" not in doc:
         raise SchemaError("missing required key 'kind'")
     cutoff = doc.get("series_cutoff", 12)
-    if not isinstance(cutoff, int) or cutoff < 1:
+    # type, not isinstance: a JSON true or false is a bool, which is an int
+    if type(cutoff) is not int or cutoff < 1:
         raise SchemaError("'series_cutoff' must be a positive integer")
     p = _coeff_map(doc.get("p", {}), "p")
     q = _coeff_map(doc.get("q", {}), "q")   # missing q[-2] just means 0
@@ -306,8 +307,9 @@ def cmd_solve(args) -> int:
 def cmd_eval(args) -> int:
     problem, sol = _solve_file(args)
     points = args.z or [0.5]
-    if any(z <= 0 for z in points):
-        raise DomainError(f"series evaluation needs z > 0, got {min(points)}")
+    bad = [z for z in points if not z > 0]
+    if bad:
+        raise DomainError(f"series evaluation needs z > 0, got {bad[0]}")
     outside = [z for z in points if z >= problem.radius]
     # whether the series terminates is a property of the equation and the
     # seeds: a float solve's None only says its residual is under the float

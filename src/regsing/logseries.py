@@ -117,7 +117,8 @@ class LogSeries:
         return not self.coeffs or self.sigma == other.sigma
 
     def __hash__(self):
-        return hash((self.sigma, frozenset(self.coeffs.items())))
+        # the base is no content of a zero series (__eq__)
+        return hash((self.sigma if self.coeffs else None, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         parts = []
@@ -262,7 +263,7 @@ def evaluate(f: LogSeries, z: float) -> float:
     rounded to a float once.  Raises AccuracyError, chained from the
     OverflowError, where an exact coefficient or a power of z or log z does
     not fit a float, and where the sum is not finite."""
-    if z <= 0:
+    if not z > 0:
         raise DomainError(f"series evaluation needs z > 0, got {z}")
     lz = math.log(z)
     total = 0.0

@@ -12,7 +12,7 @@ residues at s = -k reproduce the series term by term.  This module provides:
   (_term_ratio) and by its equation, root and seeds (_family_problem);
 - integer_powers: the exact A^n(seed), n = 0, 1, 2, ..., one ratio step each,
   on reduced int pairs, each power rounded once for float parameters (for
-  the logarithmic family, one application of its own A each);
+  the logarithmic family, one pass through the kernel of its own A each);
 - fractional_power_coeff: the coefficient/exponent data of A^v(seed), from
   integer_powers at integer v and the gamma form of the term ratio otherwise;
 - mellin_integrand / contour_eval: the line integrand and its trapezoid
@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .catalog import ParameterError, struve_prefactor
 from .logseries import AccuracyError, LogSeries
-from .operators import apply_A
+from .operators import _kernel, _sum_images, apply_A
 from .problem import OdeProblem, root_index, transform
 from .scalars import Scalar, as_int, is_exact, pair_float, pair_fraction, pair_mul, ratio
 from .solver import _driving_term
@@ -387,8 +387,8 @@ def family_operator(family: CatalogFamily, order: int = 20):
     The callable is the A of the family's equation (_family_problem), the
     same operator the solver iterates, and the seed is the solver's driving
     term, so v-fold application is the exact integer-order reference for
-    fractional_power_coeff.  The logarithmic family's integer_powers are
-    computed this way; the other families' are checked against it.
+    fractional_power_coeff: every family's integer_powers are checked
+    against it.
     """
     prob, root, c0, c1 = _family_problem(family, order)
     spec = transform(prob, root)
@@ -476,10 +476,10 @@ def integer_powers(family: CatalogFamily):
     family_operator application; with float parameters, the exact powers of
     the dyadic parameters, each rounded once to the nearest float.
 
-    The logarithmic family has no term ratio.  Its powers are that n-fold
-    application itself (_operator_powers): Fraction coefficients at int
-    exponents, with the int log coefficient 0 below the root gap and a
-    Fraction from the gap on.
+    The logarithmic family has no term ratio.  Its powers walk the seed
+    through the kernel of its own A (_operator_powers): Fraction
+    coefficients at int exponents, with the int log coefficient 0 below the
+    root gap and a Fraction from the gap on.
     """
     if family.tag == "BesselLogSecond":
         yield from _operator_powers(family)
@@ -586,21 +586,24 @@ def _gamma_form(family: CatalogFamily) -> GammaForm:
 
 def _operator_powers(family: CatalogFamily):
     """A^n(seed) for a family whose every power is a single row
-    z^e (c + l log z): one application of family_operator's A to the
-    previous power, taken alone at horizon 1 so that its image is kept."""
-    power, apply_one = family_operator(family, 1)
+    z^e (c + l log z): the seed walked on reduced pairs through one kernel
+    of its own A at the seed's base, each image shifted one row up."""
+    prob, root, c0, c1 = _family_problem(family, 1)
+    spec = transform(prob, root)
+    seed = _driving_term(prob, spec, c0, c1, 1)
+    image = _kernel(spec, seed.sigma, math.inf, spec.integer_slots, 0)
+    power = {key: c.as_integer_ratio() for key, c in seed.coeffs.items()}
     while True:
-        (m,) = {m for m, _ in power.coeffs}
-        e = as_int(power.sigma + m)
-        c, l = power.coefficient(m, 0), power.coefficient(m, 1)
-        yield PowerData(Fraction(c), e, Fraction(l) if l else 0)
-        power = apply_one(LogSeries(e, 1, {(0, 0): c, (0, 1): l}))
+        (m,) = {m for m, _ in power}
+        c, l = power.get((m, 0), (0, 1)), power.get((m, 1))
+        yield PowerData(pair_fraction(c), as_int(seed.sigma + m), pair_fraction(l) if l else 0)
+        power = {(m + 1, k): v for (m, k), v in _sum_images(image, power.items()).items()}
 
 
 def evaluate_power(data: PowerData, z: float) -> complex:
     """Value of coefficient*z^exponent (+ log term) at real z > 0."""
     zf = float(z)
-    if zf <= 0:
+    if not zf > 0:
         raise ValueError("z must be positive")
     zp = cmath.exp(complex(data.exponent) * math.log(zf))
     out = complex(data.coefficient) * zp
@@ -693,7 +696,7 @@ def mellin_integrand(family: CatalogFamily, s: complex, z: float) -> complex:
     """
     s = complex(s)
     zf = float(z)
-    if zf <= 0:
+    if not zf > 0:
         raise ValueError("z must be positive")
     try:
         if family.tag == "BesselLogSecond":

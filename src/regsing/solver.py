@@ -17,10 +17,10 @@ growing rationals.
 
 Solution.iterations_used is the Neumann iteration count: the number of
 terms (-A)^j g the Neumann loop would have applied A to, capped at N (0 when
-g vanishes).  Forward substitution merges those terms, so it reads the
-count off the chains of A applications that link g to each coefficient
-below the horizon: one more than the longest chain whose terms do not
-cancel (_forward_substitute).
+g vanishes).  Forward substitution reads it off the chains of A applications
+that link g to each coefficient below the horizon: D_max + 1 for the longest
+chain length D_max, unless the terms along every chain that long cancel;
+that case alone runs the Neumann loop (_forward_substitute).
 
 The residual check substitutes psi = z^lambda f back into the original
 equation, read from the slots of its normal form (OdeProblem.slots) and
@@ -124,15 +124,15 @@ def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[L
     # row m is reached, and its image under A, taken at g's base, only
     # touches rows above m: row mi of the image is row mi + 1 of f.
     #
-    # Each entry carries its value, its depth (the longest chain of A
+    # Each entry carries its value, its depth D (the longest chain of A
     # applications that reaches it from g) and its share, the part of its
     # value that came along chains of that length: the Neumann term
-    # (-A)^depth g there.  The deepest entry gives the Neumann iteration
-    # count as long as no share is zero; if one is, its terms cancel and the
-    # count is left to the Neumann loop (_neumann_count).  A share is None
-    # while it is the whole value, else a number: along an image term of
-    # scale w/d, share s passes on as -s w/d (-c w/d while it is the whole
-    # value c).
+    # (-A)^D g there, its predecessors' shares at depth D - 1 times their
+    # scales, exact whatever cancels elsewhere.  The count is min(N, D_max + 1)
+    # unless every share at the deepest depth D_max is zero (_neumann_count).
+    # A share is None while it is the whole value, else a number: along an
+    # image term of scale w/d, share s passes on as -s w/d (-c w/d while it
+    # is the whole value c).
     #
     # Values and shares are reduced int pairs, read exactly from g in
     # either mode, and each image term is scaled by its negated scale
@@ -157,14 +157,13 @@ def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[L
             # value, depth, share, seed
             rows[m][k] = [c.as_integer_ratio(), 0, None, c if exact else None]
     coeffs = {}
-    deepest = -1
-    counted = True
+    deepest, nonzero = -1, True     # the deepest depth, and whether a share there is not 0
     for m, row in enumerate(rows):
         for k, (c, depth, share, seed) in row.items():
-            if counted:
-                counted = (c if share is None else share)[0] != 0
-                deepest = max(deepest, depth)
-            whole = share is None or not counted
+            whole = share is None
+            if depth >= deepest:
+                nonzero = (c if whole else share)[0] != 0 or (depth == deepest and nonzero)
+                deepest = depth
             live = c[0] != 0
             if not live and whole:
                 continue
@@ -181,35 +180,32 @@ def _forward_substitute(spec: OperatorSpec, g: LogSeries, order: int) -> tuple[L
                 if there is None:
                     rows[target][ki] = [ci, depth + 1, None if whole else pair_mul(share, t), None]
                     continue
-                if counted:
-                    if depth + 1 == there[1]:
-                        if not whole or there[2] is not None:
-                            there[2] = pair_add(there[0] if there[2] is None else there[2],
-                                                ci if whole else pair_mul(share, t))
-                    elif depth + 1 > there[1]:
-                        there[1], there[2] = depth + 1, ci if whole else pair_mul(share, t)
-                    elif there[2] is None:
-                        there[2] = there[0]
+                if depth + 1 == there[1]:
+                    if not whole or there[2] is not None:
+                        there[2] = pair_add(there[0] if there[2] is None else there[2],
+                                            ci if whole else pair_mul(share, t))
+                elif depth + 1 > there[1]:
+                    there[1], there[2] = depth + 1, ci if whole else pair_mul(share, t)
+                elif there[2] is None:
+                    there[2] = there[0]
                 if live:
                     there[0] = pair_add(there[0], ci)
                     there[3] = None
     f = LogSeries(g.sigma, n, coeffs)
-    if not counted:
-        return f, _neumann_count(spec, g, n)
-    return f, 0 if deepest < 0 else min(n, deepest + 1)
+    return f, min(n, deepest + 1) if nonzero else _neumann_count(spec, g, n)
 
 
 def _neumann_count(spec: OperatorSpec, g: LogSeries, n: int) -> int:
-    """The Neumann iteration count, one term (-A)^j g at a time, each held
-    exactly as reduced pairs: the slow path for a solve in which the terms
-    of one coefficient's longest chains cancel."""
-    sigma, used = g.sigma, 0
+    """The Neumann iteration count, one term (-A)^j g at a time on g's rows,
+    each held exactly as reduced pairs through one kernel at g's base, its
+    images shifted one row up: the slow path of _forward_substitute."""
+    image = _kernel(spec, g.sigma, n - 1, spec.integer_slots, 0)
     term = {key: c.as_integer_ratio() for key, c in g.coeffs.items() if key[0] <= n}
-    while used < n and term:
-        used += 1
-        term = _sum_images(_kernel(spec, sigma, n - used, spec.integer_slots, 0), term.items())
-        sigma += 1
-    return used
+    for used in range(n):
+        if not term:
+            return used
+        term = {(m + 1, k): v for (m, k), v in _sum_images(image, term.items()).items()}
+    return n
 
 
 def _driving_term(problem: OdeProblem, spec: OperatorSpec, c0: Scalar, c1: Scalar,

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,11 +19,20 @@ from regsing.cli import (
     ParseError,
     SchemaError,
     build_parser,
+    cmd_eval,
     dump_problem,
     main,
     parse_problem,
 )
-from regsing.mellin import _FAMILY_PARAMS
+from regsing.logseries import DomainError, LogSeries, evaluate
+from regsing.mellin import (
+    _FAMILY_PARAMS,
+    PowerData,
+    catalog_family,
+    evaluate_power,
+    mellin_integrand,
+    residue_eval,
+)
 
 
 BESSEL_DOC = {
@@ -151,6 +161,45 @@ def test_rhs_with_incompatible_sigmas_is_schema_error(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         parse_problem(path)
+
+
+_TWO = {"kind": "two_point"}
+
+
+@pytest.mark.parametrize("doc, error, match", [
+    ([], SchemaError, "top level must be a JSON object"),
+    ({**_TWO, "p": ["1"]}, SchemaError, "'p' must be an object"),
+    ({**_TWO, "q": "1"}, SchemaError, "'q' must be an object"),
+    ({**_TWO, "q": {"0.5": "1"}}, SchemaError, "'q' key '0.5' is not an integer"),
+    ({**_TWO, "p": {"-1": ["1"]}}, ParseError, r"p\[-1\]: expected a rational, got list"),
+    ({**_TWO, "q": {"0": None}}, ParseError, r"q\[0\]: expected a rational, got NoneType"),
+    ({**_TWO, "rhs": []}, SchemaError, "'rhs' must be a non-empty list"),
+    ({**_TWO, "rhs": {"coeff": "1"}}, SchemaError, "'rhs' must be a non-empty list"),
+    ({**_TWO, "rhs": ["1"]}, SchemaError, r"rhs\[0\]: expected an object"),
+    ({**_TWO, "rhs": [{"coeff": "1", "log_power": -1}]}, SchemaError, r"rhs\[0\]\.log_power"),
+    ({**_TWO, "rhs": [{"coeff": "1", "log_power": "1"}]}, SchemaError, r"rhs\[0\]\.log_power"),
+    ({**_TWO, "series_cutoff": 0}, SchemaError, "'series_cutoff' must be a positive integer"),
+    ({**_TWO, "series_cutoff": 12.0}, SchemaError, "'series_cutoff' must be a positive integer"),
+    # a JSON true is a bool, which Python counts as the int 1
+    ({**_TWO, "series_cutoff": True}, SchemaError, "'series_cutoff' must be a positive integer"),
+    ({**_TWO, "rhs": [{"coeff": "1", "power": True}]}, SchemaError, r"rhs\[0\]\.power"),
+    ({**_TWO, "rhs": [{"coeff": "1", "log_power": True}]}, SchemaError, r"rhs\[0\]\.log_power"),
+], ids=["top-level", "p", "q", "index-key", "list-value", "null-value", "empty-rhs",
+        "rhs-object", "rhs-entry", "negative-log-power", "string-log-power", "zero-cutoff",
+        "float-cutoff", "bool-cutoff", "bool-power", "bool-log-power"])
+def test_malformed_problem_file_is_refused(tmp_path, doc, error, match):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error, match=match):
+        parse_problem(path)
+
+
+def test_boolean_series_cutoff_exits_one(tmp_path, capsys):
+    # a JSON true was taken for the order 1 and printed back as "# iterations=True"
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**BESSEL_DOC, "series_cutoff": True}))
+    assert main(["solve", "--problem", str(path), "--c0", "1"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_dump_problem_round_trips_identically(struve_json, tmp_path):
@@ -435,6 +484,31 @@ def test_eval_checks_every_point_before_printing(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "needs z > 0, got -1.0" in captured.err
+
+
+def _eval_argv(z):
+    return ["eval", "--problem", str(ROOT / "demos" / "problems" / "bessel.json"),
+            "--c0", "1", "--z", z]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: evaluate(LogSeries.monomial(1, 0, 4), math.nan), DomainError),
+    (lambda: cmd_eval(build_parser().parse_args(_eval_argv("nan"))), DomainError),
+    (lambda: evaluate_power(PowerData(1, 2), math.nan), ValueError),
+    (lambda: mellin_integrand(catalog_family("Exp"), 0.5 + 1j, math.nan), ValueError),
+    (lambda: residue_eval(catalog_family("Exp"), math.nan), ValueError),
+], ids=["evaluate", "cmd_eval", "evaluate_power", "mellin_integrand", "residue_eval"])
+def test_a_nan_point_is_a_domain_error(call, error):
+    # NaN fails every comparison, so "z <= 0" let it through to the sum,
+    # which then read as an accuracy error
+    with pytest.raises(error, match="z > 0|positive"):
+        call()
+
+
+def test_eval_at_nan_exits_two(capsys):
+    assert main(_eval_argv("nan")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "needs z > 0, got nan" in captured.err
 
 
 def test_eval_refuses_points_outside_the_disc(capsys):

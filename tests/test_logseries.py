@@ -150,6 +150,28 @@ def test_integer_slots_is_the_fraction_oracle(slots):
         assert all(type(a) is int for _o, *row in got[1] for a in row)
 
 
+# ---------------------------------------------------------- equality, repr
+
+@pytest.mark.parametrize("a, b", [
+    (LogSeries.zero(3), LogSeries.zero(3, sigma=Fr(1, 2))),
+    (LogSeries.zero(3), LogSeries.zero(7, sigma=-2.5)),
+    (LogSeries.monomial(2, 1, 4), LogSeries.monomial(2, Fr(1), 6)),
+    (series(1, 4, {(0, 0): 1, (2, 1): Fr(-1, 3)}),
+     series(Fr(1), 5, {(0, 0): Fr(1), (2, 1): Fr(-1, 3)})),
+], ids=["zero-bases", "zero-orders", "int-and-fraction-base", "int-and-fraction-terms"])
+def test_equal_series_hash_equal(a, b):
+    # zero series of any base are equal (__eq__), so a set holds one of them
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_repr_reads_the_terms_off_the_absolute_exponents():
+    f = series(Fr(-1, 2), 4, {(0, 0): 3, (1, 1): Fr(-1, 4), (2, 0): 1, (3, 2): 2})
+    assert repr(f) == ("LogSeries(3*z^-1/2 + -1/4*z^1/2*log(z) + 1*z^3/2 + "
+                       "2*z^5/2*log(z)^2; order=4)")
+    assert repr(LogSeries.monomial(5, 0, 2)) == "LogSeries(5; order=2)"
+    assert repr(LogSeries.zero(3, sigma=Fr(1, 2))) == "LogSeries(0; order=3)"
+
+
 # ---------------------------------------------------------- linear_combine
 
 def test_combine_polynomials():

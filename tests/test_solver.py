@@ -188,30 +188,32 @@ def test_resolvent_matches_neumann_loop_on_random_problems(problem, root, seed):
         key: type(c) for key, c in f.coeffs.items()}
 
 
-# random problems whose Neumann terms cancel in some coefficient: terms of
-# different depths summing to zero ("across"), and the longest chains into
-# one coefficient cancelling among themselves ("within", where the count
-# falls back to the Neumann loop)
-@pytest.mark.parametrize("kind, p, q, order, root, seed, within", [
-    ("three_point", {-1: Fr(2, 3), 1: 1}, {-2: 0, 0: Fr(-1, 2)}, 4, 1, (0, 1), False),
-    ("three_point", {-1: Fr(2, 3), 1: 1}, {-2: 0, 0: Fr(-1, 2)}, 4, 2, (1, 0), False),
-    ("two_point", {-1: Fr(-5, 3), 0: Fr(1, 3)}, {-2: Fr(5, 3), 1: Fr(-1, 2)}, 7, 1, (0, 1), False),
-    ("two_point", {-1: Fr(4, 3), 0: Fr(-1)}, {-2: Fr(-2, 3), 0: Fr(1)}, 14, 2, (1, 0), False),
-    ("two_point", {-1: Fr(3, 2), 1: Fr(1)}, {-2: Fr(-3), 1: Fr(1, 2)}, 33, 1, (0, 1), True),
-    ("two_point", {-1: Fr(3, 2), 1: Fr(-1, 2)}, {-2: Fr(-3), 1: Fr(1)}, 15, 2, (1, 0), True),
-], ids=["across-4-root1", "across-4-root2", "across-7", "across-14", "within-33", "within-15"])
-def test_iteration_count_survives_cancelling_terms(kind, p, q, order, root, seed, within,
-                                                   monkeypatch):
-    problem = OdeProblem(kind, p, q, series_cutoff=order)
-    slow = []
-    real = regsing.solver._neumann_count
-    monkeypatch.setattr(regsing.solver, "_neumann_count",
-                        lambda *args: slow.append(args) or real(*args))
-    sol = solve(problem, root, *seed)
-    f, used = _oracle_solve(problem, root, *seed, order)
-    assert sol.f.coeffs == f.coeffs
+@st.composite
+def integer_gap_problems(draw):
+    """The resonant shapes, where Neumann terms can cancel: indicial roots
+    l2 and l2 + gap, gap 0 (a double root) to 4, and one to three more p
+    terms (indices 0..2) and q terms (indices -1..2), each +-{1,2,3}/{1,2,3}."""
+    l2 = Fr(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 3))))
+    l1 = l2 + draw(st.integers(0, 4))
+    coef = st.builds(Fr, st.sampled_from((1, 2, 3, -1, -2, -3)), st.sampled_from((1, 2, 3)))
+    p = {-1: 1 - (l1 + l2),
+         **draw(st.dictionaries(st.integers(0, 2), coef, min_size=1, max_size=3))}
+    q = {-2: l1 * l2,
+         **draw(st.dictionaries(st.integers(-1, 2), coef, min_size=1, max_size=3))}
+    kind = draw(st.sampled_from(("two_point", "three_point")))
+    return OdeProblem(kind, p, q, series_cutoff=draw(st.integers(4, 30)))
+
+
+@given(integer_gap_problems(), st.sampled_from((1, 2)),
+       st.sampled_from(((1, 0), (0, 1), (1, 1))))
+@settings(max_examples=60, deadline=None)
+def test_resolvent_matches_neumann_loop_at_integer_gaps(problem, root, seed):
+    n = problem.series_cutoff
+    sol = solve(problem, root, *seed, order=n)
+    f, used = _oracle_solve(problem, root, *seed, n)
+    assert {key: (c, type(c)) for key, c in sol.f.coeffs.items()} == {
+        key: (c, type(c)) for key, c in f.coeffs.items()}
     assert sol.iterations_used == used
-    assert bool(slow) == within
 
 
 def _count_slow_path(monkeypatch):
@@ -220,6 +222,36 @@ def _count_slow_path(monkeypatch):
     monkeypatch.setattr(regsing.solver, "_neumann_count",
                         lambda *args: slow.append(args) or real(*args))
     return slow
+
+
+# random problems whose Neumann terms cancel in some coefficient: terms of
+# different depths summing to zero ("across"), and the longest chains into
+# one coefficient cancelling among themselves ("within").  Each entry's share
+# at its own deepest depth is exact whatever cancels, so the count falls back
+# to the Neumann loop only where every share at the deepest depth is zero
+# ("deepest", whose counts are one below the order)
+@pytest.mark.parametrize("kind, p, q, order, root, seed, slow_path", [
+    ("three_point", {-1: Fr(2, 3), 1: 1}, {-2: 0, 0: Fr(-1, 2)}, 4, 1, (0, 1), False),
+    ("three_point", {-1: Fr(2, 3), 1: 1}, {-2: 0, 0: Fr(-1, 2)}, 4, 2, (1, 0), False),
+    ("two_point", {-1: Fr(-5, 3), 0: Fr(1, 3)}, {-2: Fr(5, 3), 1: Fr(-1, 2)}, 7, 1, (0, 1), False),
+    ("two_point", {-1: Fr(4, 3), 0: Fr(-1)}, {-2: Fr(-2, 3), 0: Fr(1)}, 14, 2, (1, 0), False),
+    ("two_point", {-1: Fr(3, 2), 1: Fr(1)}, {-2: Fr(-3), 1: Fr(1, 2)}, 33, 1, (0, 1), False),
+    ("two_point", {-1: Fr(3, 2), 1: Fr(-1, 2)}, {-2: Fr(-3), 1: Fr(1)}, 15, 2, (1, 0), False),
+    ("three_point", {-1: 3, 0: 1}, {-2: 0, 0: 1}, 12, 2, (1, 0), True),
+    ("two_point", {-1: 0, 0: -1, 2: -3}, {-2: -2, 0: 1}, 37, 2, (1, 0), True),
+], ids=["across-4-root1", "across-4-root2", "across-7", "across-14", "within-33", "within-15",
+        "deepest-12", "deepest-37"])
+def test_iteration_count_survives_cancelling_terms(kind, p, q, order, root, seed, slow_path,
+                                                   monkeypatch):
+    problem = OdeProblem(kind, p, q, series_cutoff=order)
+    slow = _count_slow_path(monkeypatch)
+    sol = solve(problem, root, *seed)
+    f, used = _oracle_solve(problem, root, *seed, order)
+    assert sol.f.coeffs == f.coeffs
+    assert sol.iterations_used == used
+    assert bool(slow) == slow_path
+    if slow_path:
+        assert used == order - 1
 
 
 @pytest.mark.parametrize("c1", [1, -3])
